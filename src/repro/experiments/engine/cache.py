@@ -6,14 +6,18 @@ computes it.  The cache keys every :class:`~repro.experiments.sweep.SweepPoint`
 by a SHA-256 digest over exactly those inputs:
 
 * :func:`trace_digest` — the trace's name, its full path table (every
-  static attribute, via :func:`repro.trace.io.path_record`) and the raw
+  static attribute :func:`repro.trace.io.path_record` serializes, in a
+  compact canonical binary encoding hashed chunk by chunk) and the raw
   occurrence array.  Any change to the workload generator's output
   changes the digest, so stale results can never be served for a
   regenerated trace.  The occurrence array is canonicalized to an
   explicit little-endian ``int64`` before hashing, so the digest is a
   property of the trace's *content*, not of the host's byte order or of
   how the dtype happens to be spelled (``int64`` vs ``>i8``) — caches
-  are portable between machines.
+  are portable between machines.  The encoding is part of the key:
+  when it changes, every existing entry and cost-ledger record keyed
+  by a trace digest misses once and is recomputed — never served
+  stale.
 * the scheme name and τ;
 * :data:`CODE_VERSION` — a manual tag naming the semantics of the
   predictor/metric pipeline.  Bump it whenever a change to the
@@ -43,6 +47,7 @@ in the run manifest under that registry's prefix.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -54,7 +59,6 @@ import numpy as np
 
 from repro.experiments.sweep import SweepPoint
 from repro.obs.core import Registry
-from repro.trace.io import path_record
 from repro.trace.recorder import PathTrace
 
 logger = logging.getLogger(__name__)
@@ -69,6 +73,10 @@ ENTRY_FORMAT = 1
 #: Canonical occurrence-array dtype hashed by :func:`trace_digest`:
 #: little-endian 8-byte signed, whatever the host's native order is.
 _DIGEST_DTYPE = np.dtype("<i8")
+
+#: Paths encoded per hasher update by :func:`trace_digest`; bounds the
+#: transient memory of digesting a large table.
+_DIGEST_CHUNK = 4096
 
 #: Digest memo, keyed weakly by trace object so it never pins a trace in
 #: memory.  The value carries the table size *and* the occurrence count
@@ -92,6 +100,18 @@ def trace_digest(trace: PathTrace) -> str:
     little- and big-endian hosts and for any equivalent dtype spelling
     of the occurrence array.
 
+    The table is hashed in a compact canonical encoding of every
+    :func:`repro.trace.io.path_record` field, :data:`_DIGEST_CHUNK`
+    paths at a time, so no serialization of the whole table is ever
+    held in memory.  Per chunk: an ``<i8`` matrix of the fixed-width
+    fields (start address, bit count, indirect-target and block counts,
+    instruction/branch counts, the backward-branch flag), the
+    concatenated indirect targets and blocks as ``<i8``, and the
+    histories as comma-terminated lowercase hex.  Every field is
+    coerced to a plain integer first, so a table built from numpy
+    scalars digests like one built from Python ints.  Each section is
+    framed by its byte length, which makes the encoding unambiguous.
+
     Memoized per trace object: the engine digests the same traces once
     per ``run_sweep`` call (for cache addressing *and* for data-plane
     residency keys), and hashing a long occurrence array is the kind of
@@ -105,18 +125,49 @@ def trace_digest(trace: PathTrace) -> str:
     ):
         return memo[2]
     hasher = hashlib.sha256()
-    hasher.update(trace.name.encode("utf-8"))
-    hasher.update(b"\x00")
-    table_blob = json.dumps(
-        [path_record(path) for path in trace.table],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    hasher.update(table_blob.encode("utf-8"))
-    hasher.update(b"\x00")
+
+    def section(blob: bytes) -> None:
+        hasher.update(len(blob).to_bytes(8, "little"))
+        hasher.update(blob)
+
+    section(trace.name.encode("utf-8"))
+    paths = list(trace.table)
+    section(len(paths).to_bytes(8, "little"))
+    for start in range(0, len(paths), _DIGEST_CHUNK):
+        chunk = paths[start : start + _DIGEST_CHUNK]
+        signatures = [path.signature for path in chunk]
+        fixed = np.array(
+            [
+                (
+                    signature.start_address,
+                    signature.bit_count,
+                    len(signature.indirect_targets),
+                    len(path.blocks),
+                    path.num_instructions,
+                    path.num_cond_branches,
+                    path.num_indirect_branches,
+                    path.ends_with_backward_branch,
+                )
+                for path, signature in zip(chunk, signatures)
+            ],
+            dtype=_DIGEST_DTYPE,
+        )
+        ragged = np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.chain(signature.indirect_targets, path.blocks)
+                for path, signature in zip(chunk, signatures)
+            ),
+            dtype=_DIGEST_DTYPE,
+        )
+        histories = "".join(
+            [f"{int(signature.history):x}," for signature in signatures]
+        )
+        section(fixed.tobytes())
+        section(ragged.tobytes())
+        section(histories.encode("ascii"))
     ids = np.ascontiguousarray(trace.path_ids, dtype=_DIGEST_DTYPE)
-    hasher.update(_DIGEST_DTYPE.str.encode("utf-8"))
-    hasher.update(ids.tobytes())
+    section(_DIGEST_DTYPE.str.encode("utf-8"))
+    section(ids.tobytes())
     digest = hasher.hexdigest()
     try:
         _digest_memo[trace] = (trace.num_paths, len(trace.path_ids), digest)

@@ -51,13 +51,12 @@ class PathProfilePredictor(OnlinePredictor):
             predicted_ids=predicted[by_time].astype(np.int64),
             prediction_times=times[by_time].astype(np.int64),
             captured=captured[by_time].astype(np.int64),
-            counter_space=self._counter_space(trace),
+            # One counter per dynamic path seen during the run (§5.2).
+            counter_space=int(
+                trace.cached("dynamic_paths", lambda: np.count_nonzero(freqs))
+            ),
             profiling_ops=self._profiling_ops(trace, freqs),
         )
-
-    def _counter_space(self, trace: PathTrace) -> int:
-        """One counter per dynamic path seen during the run (paper §5.2)."""
-        return int((trace.freqs() > 0).sum())
 
     def _profiling_ops(self, trace: PathTrace, freqs: np.ndarray) -> int:
         """Dynamic profiling operations under bit tracing.
@@ -70,11 +69,11 @@ class PathProfilePredictor(OnlinePredictor):
         execution, whose profiling work has already been spent when the
         prediction fires).
         """
-        tau = self.delay
-        profiled_execs = np.minimum(freqs, tau + 1)
-        ops_per_exec = (
-            trace.cond_branches_per_path()
+        profiled_execs = np.minimum(freqs, self.delay + 1)
+        ops_per_exec = trace.cached(
+            "bit_tracing_ops",
+            lambda: trace.cond_branches_per_path()
             + trace.indirect_branches_per_path()
-            + 1  # the path-table update
+            + 1,  # the path-table update
         )
         return int((profiled_execs * ops_per_exec).sum())

@@ -146,7 +146,7 @@ class PathTrace:
 
     def freqs(self) -> np.ndarray:
         """Per-path execution frequency ``freq(p)``, indexed by path id."""
-        return self._cached(
+        return self.cached(
             "freqs",
             lambda: np.bincount(self.path_ids, minlength=len(self.table)),
         )
@@ -155,7 +155,7 @@ class PathTrace:
     # Per-path static attribute arrays (indexed by path id)
     # ------------------------------------------------------------------
     def _per_path(self, key: str, getter) -> np.ndarray:
-        return self._cached(
+        return self.cached(
             key,
             lambda: np.array(
                 [getter(path) for path in self.table], dtype=np.int64
@@ -184,7 +184,7 @@ class PathTrace:
 
     def ends_backward_per_path(self) -> np.ndarray:
         """Whether each path id ends with a backward taken branch."""
-        return self._cached(
+        return self.cached(
             "ends_backward",
             lambda: np.array(
                 [path.ends_with_backward_branch for path in self.table],
@@ -217,7 +217,7 @@ class PathTrace:
                 mask[1:] = ends[:-1]
             return mask
 
-        return self._cached("backward_arrival", build)
+        return self.cached("backward_arrival", build)
 
     def dynamic_head_uids(self) -> set[int]:
         """Distinct targets of backward taken branches observed in the trace.
@@ -250,6 +250,51 @@ class PathTrace:
             self._cache["occ_order"] = order
             self._cache["occ_starts"] = starts
         return self._cache["occ_order"], self._cache["occ_starts"]
+
+    def head_arrivals(
+        self, backward_only: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Counted arrivals at each head, running and total (cached).
+
+        An occurrence's arrival at its head is *counted* when it came
+        via a backward taken branch (``backward_only``, the rule of
+        Dynamo's NET head counters) or, otherwise, always.  Returns
+        ``(running, per_head)``: ``running[i]`` is the number of counted
+        arrivals at occurrence ``i``'s head among occurrences ``0..i``,
+        and ``per_head`` lists the total counted arrivals of every head
+        that has any, in head-uid order.  Both are independent of the
+        prediction delay: a NET head is hot at occurrence ``i`` under
+        delay τ exactly when ``running[i] > τ``, so every NET cell over
+        this trace shares one computation.
+        """
+        mode = "backward" if backward_only else "all"
+        running_key, per_head_key = f"running_{mode}", f"per_head_{mode}"
+        if running_key not in self._cache:
+            head_seq = self.head_sequence()
+            n = len(head_seq)
+            if backward_only:
+                counted = self.backward_arrival_mask()
+            else:
+                counted = np.ones(n, dtype=bool)
+            # Group occurrences by head, keeping execution order within
+            # a head; a running count is then a cumulative sum minus the
+            # count before the head's group starts.
+            order = np.argsort(head_seq, kind="stable")
+            sorted_heads = head_seq[order]
+            counted_sorted = counted[order]
+            cumulative = np.cumsum(counted_sorted, dtype=np.int64)
+            group_start = np.ones(n, dtype=bool)
+            np.not_equal(
+                sorted_heads[1:], sorted_heads[:-1], out=group_start[1:]
+            )
+            starts = np.flatnonzero(group_start)
+            before = cumulative[starts] - counted_sorted[starts]
+            running = np.empty(n, dtype=np.int64)
+            running[order] = cumulative - before[np.cumsum(group_start) - 1]
+            totals = np.diff(np.append(before, cumulative[-1:]))
+            self._cache[running_key] = running
+            self._cache[per_head_key] = totals[totals > 0]
+        return self._cache[running_key], self._cache[per_head_key]
 
     # ------------------------------------------------------------------
     # Columnar form (the zero-copy data plane's exchange format)
@@ -324,7 +369,13 @@ class PathTrace:
             name=f"{self.name}+{other.name}",
         )
 
-    def _cached(self, key: str, builder) -> np.ndarray:
+    def cached(self, key: str, builder) -> np.ndarray:
+        """``builder()``, computed once per trace and kept under ``key``.
+
+        For values that are a pure function of the trace's content,
+        such as per-path or per-occurrence arrays every predictor
+        replaying the trace shares.
+        """
         if key not in self._cache:
             self._cache[key] = builder()
         return self._cache[key]

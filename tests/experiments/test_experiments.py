@@ -18,6 +18,7 @@ from repro.experiments import (
     sweep_trace,
 )
 from repro.experiments.sweep import SweepPoint, average_curve, make_predictor
+from repro.prediction import NETPredictor
 
 SMALL_DELAYS = (1, 10, 100, 1000, 10_000)
 
@@ -89,6 +90,14 @@ def test_table2_rows(two_traces):
     for row in rows:
         assert row.num_heads == row.paper_heads
         assert 0 < row.ratio < 1
+
+
+def test_net_counter_space_is_table2_unique_heads():
+    """NET allocates one counter per Table 2 "#Unique Path Heads"."""
+    for trace in benchmark_traces(flow_scale=0.05).values():
+        heads = len(trace.dynamic_head_uids())
+        for delay in (0, 1, 50, 1000, 100_000):
+            assert NETPredictor(delay).run(trace).counter_space == heads
 
 
 def test_figure4_matches_paper_ratios(two_traces):

@@ -15,7 +15,7 @@ import socket
 import pytest
 
 from repro.errors import ExperimentError, WorkerCrashError
-from repro.experiments import run_sweep
+from repro.experiments import run_sweep, trace_digest
 from repro.experiments.engine.dataplane import TraceArchive
 from repro.experiments.engine.remote import (
     RemoteWorkerPool,
@@ -49,15 +49,21 @@ def baseline(duo):
 
 
 @pytest.fixture()
-def workers():
-    """Two live in-process sweep workers; addresses in .addresses."""
+def worker_servers():
+    """Two live in-process sweep worker servers."""
     servers = [start_worker()[0] for _ in range(2)]
     try:
-        yield [f"127.0.0.1:{server.port}" for server in servers]
+        yield servers
     finally:
         for server in servers:
             server.shutdown()
             server.server_close()
+
+
+@pytest.fixture()
+def workers(worker_servers):
+    """The ``host:port`` addresses of :func:`worker_servers`."""
+    return [f"127.0.0.1:{server.port}" for server in worker_servers]
 
 
 # ---------------------------------------------------------------------
@@ -112,7 +118,27 @@ def test_pool_refuses_dead_address():
 # ---------------------------------------------------------------------
 
 
-def test_remote_sweep_byte_identical(workers, duo, baseline):
+def test_remote_sweep_byte_identical(
+    worker_servers, workers, duo, baseline, monkeypatch
+):
+    received = {index: [] for index in range(len(worker_servers))}
+    ran = set()
+    for index, server in enumerate(worker_servers):
+        install, context = server.install, server.context
+
+        def recording_install(digest, blob, index=index, install=install):
+            received[index].append(digest)
+            return install(digest, blob)
+
+        def recording_context(digest, index=index, context=context):
+            found = context(digest)
+            if found is not None:
+                ran.add((index, digest))
+            return found
+
+        monkeypatch.setattr(server, "install", recording_install)
+        monkeypatch.setattr(server, "context", recording_context)
+
     registry = Registry()
     points = run_sweep(
         duo, delays=DELAYS, backend="remote", remote=workers,
@@ -121,9 +147,21 @@ def test_remote_sweep_byte_identical(workers, duo, baseline):
     assert points == baseline
     counters = registry.snapshot()["counters"]
     assert counters["sweep.remote.workers_connected"] == 2
-    # Publication is per-lane: each of the 2 workers receives both
-    # traces once, lazily, on its first batch needing them.
-    assert counters["sweep.remote.traces_published"] == 4
+    # Publication is per-lane and lazy: a worker receives a trace once,
+    # on its first batch needing it.  Which lane runs which batches is
+    # timing-dependent (one lane may drain a whole trace), so the
+    # expected count is the (worker, trace) pairs that ran a batch.
+    for digests in received.values():
+        assert len(digests) == len(set(digests))
+    assert {
+        (index, digest)
+        for index, digests in received.items()
+        for digest in digests
+    } == ran
+    assert counters["sweep.remote.traces_published"] == len(ran)
+    assert {digest for _, digest in ran} == {
+        trace_digest(trace) for trace in duo.values()
+    }
     assert counters["sweep.backend_remote"] == 1
 
 

@@ -8,9 +8,11 @@ and a stored point survives the write/read round-trip bit-exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,7 @@ from repro.experiments.engine import (
     trace_digest,
 )
 from repro.experiments.sweep import SweepPoint
+from repro.trace.io import path_record
 from repro.trace.path import Path, PathSignature, PathTable
 from repro.trace.recorder import PathTrace
 
@@ -124,6 +127,102 @@ def test_digest_sensitive_to_name_and_sequence(inputs):
     assert trace_digest(base) != trace_digest(renamed)
     extended = _build_trace(name, num_paths, sequence + [0])
     assert trace_digest(base) != trace_digest(extended)
+
+
+def _signature_edit(**change):
+    def edit(path: Path) -> Path:
+        signature = path.signature
+        values = {
+            key: fn(getattr(signature, key)) for key, fn in change.items()
+        }
+        return dataclasses.replace(
+            path, signature=dataclasses.replace(signature, **values)
+        )
+
+    return edit
+
+
+def _path_edit(key, fn):
+    return lambda path: dataclasses.replace(
+        path, **{key: fn(getattr(path, key))}
+    )
+
+
+#: One single-field edit per ``path_record`` key.  A key added to the
+#: record without an entry here fails the coverage check below, so the
+#: digest cannot silently stop covering a field (stale cache keys).
+FIELD_EDITS = {
+    "start_address": _signature_edit(start_address=lambda v: v + 1),
+    "history_hex": _signature_edit(history=lambda v: v ^ 1),
+    "bit_count": _signature_edit(bit_count=lambda v: v + 1),
+    "indirect_targets": _signature_edit(
+        indirect_targets=lambda v: v + (7,)
+    ),
+    "blocks": _path_edit("blocks", lambda v: v + (999,)),
+    "num_instructions": _path_edit("num_instructions", lambda v: v + 1),
+    "num_cond_branches": _path_edit("num_cond_branches", lambda v: v + 1),
+    "num_indirect_branches": _path_edit(
+        "num_indirect_branches", lambda v: v + 1
+    ),
+    "ends_with_backward_branch": _path_edit(
+        "ends_with_backward_branch", lambda v: not v
+    ),
+}
+
+
+def _rebuild(trace: PathTrace, paths: list[Path]) -> PathTrace:
+    table = PathTable()
+    for path in paths:
+        table.intern(path)
+    return PathTrace(table, trace.path_ids, name=trace.name)
+
+
+def test_field_edits_cover_every_path_record_key():
+    base = _build_trace("t", 1, [0])
+    assert set(FIELD_EDITS) == set(path_record(base.table.path(0)))
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_EDITS))
+@given(inputs=trace_inputs, which=st.integers(0, 7))
+@_settings
+def test_digest_sensitive_to_every_path_record_field(field, inputs, which):
+    base = _build_trace(*inputs)
+    paths = base.table.paths()
+    index = which % len(paths)
+    edited = FIELD_EDITS[field](paths[index])
+    assert path_record(edited) != path_record(paths[index])
+    paths[index] = edited
+    assert trace_digest(_rebuild(base, paths)) != trace_digest(base)
+
+
+def _numpy_scalars(path: Path) -> Path:
+    signature = path.signature
+    return Path(
+        signature=PathSignature(
+            start_address=np.int64(signature.start_address),
+            history=np.int64(signature.history),
+            bit_count=np.int32(signature.bit_count),
+            indirect_targets=tuple(
+                np.int64(t) for t in signature.indirect_targets
+            ),
+        ),
+        blocks=tuple(np.int64(b) for b in path.blocks),
+        start_uid=np.int64(path.start_uid),
+        num_instructions=np.int64(path.num_instructions),
+        num_cond_branches=np.int16(path.num_cond_branches),
+        num_indirect_branches=np.uint8(path.num_indirect_branches),
+        ends_with_backward_branch=np.bool_(path.ends_with_backward_branch),
+    )
+
+
+@given(inputs=trace_inputs)
+@_settings
+def test_digest_of_numpy_int_table_equals_python_int_table(inputs):
+    native = _build_trace(*inputs)
+    numpy_table = _rebuild(
+        native, [_numpy_scalars(path) for path in native.table]
+    )
+    assert trace_digest(numpy_table) == trace_digest(native)
 
 
 @given(
