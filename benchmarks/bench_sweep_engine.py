@@ -1,12 +1,13 @@
 """Times the sweep engine on the Figure 2 sweep: cold-serial vs
-cold-parallel vs warm-cache, plus the observability overhead.
+cold-parallel vs warm-cache, plus the observability and resilience
+overheads.
 
 One full-scale sweep is 9 benchmarks × 17 delays × 2 schemes = 306
 trace replays, historically the repo's hottest path.  This bench runs
-it three ways — serial replays, process-pool replays, and a rerun
-served entirely from the on-disk result cache — asserts all three
-produce identical points, and records the timings in
-``benchmarks/results/sweep_engine.txt``.
+it several ways — serial replays, replays on a ``workers=2`` thread
+pool, and a rerun served entirely from the on-disk result cache —
+asserts all of them produce identical points, and records the timings
+in ``benchmarks/results/sweep_engine.txt`` and ``BENCH_sweep.json``.
 
 A second measurement times the same serial sweep with a live metrics
 ``Registry`` attached (the ``--metrics-json`` configuration) against
@@ -21,47 +22,38 @@ parallel run.  On a healthy sweep the resilience machinery is pure
 bookkeeping — deadline arithmetic in the streaming wait loop — so its
 overhead must also stay small.
 
-PR 10 adds two legs.  *Adaptive* runs ``backend="adaptive"`` with a
-ledger warmed by the observed leg, so the cost model decides from real
-measurements; the gate is asymmetric by machine shape — on multiple
-CPUs adaptive must never lose to cold serial (speedup >= 1.0: the
-whole point of a cost model is to stop paying for parallelism that
-cannot win), and on one CPU the model must *select serial* and stay
-within a few percent of plain serial (the decision is the product;
-the overhead is prediction bookkeeping only).  *Remote* drives the
-sweep through two in-process TCP workers and must stay byte-identical.
+Every leg starts from cold per-trace caches (occurrence index, head
+arrivals), so no leg inherits precomputation from the one before it.
+The legs run :data:`ROUNDS` times in alternating order and every gate
+reads the per-leg median.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 from conftest import BENCH_FLOW_SCALE, emit, emit_json
 
-from repro.experiments.engine import (
-    CostLedger,
-    SweepCache,
-    run_sweep,
-    shared_memory_available,
-    trace_digest,
-)
-from repro.experiments.engine.remote import start_worker
+from repro.experiments.engine import SweepCache, run_sweep, trace_digest
 from repro.experiments.report import fmt, render_table
 from repro.obs import Registry
 from repro.resilience import RetryPolicy
 
-#: Process-pool size for the cold-parallel leg.
+#: Thread-pool size for the cold-parallel legs.
 WORKERS = 2
 
-#: On a multi-core box the zero-copy data plane must make the pool pay
-#: for itself: two workers at least 1.2x faster than cold serial.
+#: Repeats of every leg; the order alternates between rounds.
+ROUNDS = 3
+
+#: On a multi-core box the pool must pay for itself: two threads at
+#: least 1.2x faster than cold serial.
 MIN_PARALLEL_SPEEDUP_MULTI_CORE = 1.2
 
 #: On a single-core container true parallel speedup is physically
-#: impossible (two workers timeshare one CPU); the bar is instead a
-#: regression guard on pool overhead — the data plane must keep the
-#: timesharing penalty mild.
+#: impossible (two threads timeshare one CPU); the bar is instead a
+#: regression guard on pool overhead.
 MIN_PARALLEL_SPEEDUP_SINGLE_CORE = 0.6
 
 #: Generous ceiling for the observed-run overhead (the acceptance bar
@@ -76,100 +68,88 @@ MAX_RESILIENCE_OVERHEAD_PERCENT = 25.0
 #: far above any healthy batch, so nothing ever trips on this bench.
 RESILIENT = RetryPolicy(max_retries=2, task_timeout=600.0)
 
-#: Multi-CPU floor for the adaptive backend vs cold serial.  1.0 — the
-#: cost model may at worst match serial (by choosing it); it must never
-#: pick a configuration that loses to it.
-MIN_ADAPTIVE_SPEEDUP_MULTI_CORE = 1.0
 
-#: Single-CPU ceiling on adaptive overhead vs plain serial.  The model
-#: must select serial there, so the remaining cost is prediction and
-#: ledger bookkeeping only.
-MAX_ADAPTIVE_OVERHEAD_SINGLE_CORE_PERCENT = 5.0
-
-
-def _timed(runner) -> tuple[float, list]:
-    start = time.perf_counter()
-    points = runner()
-    return time.perf_counter() - start, points
+def _summary(seconds: list[float]) -> dict:
+    """Median, quartiles and min of one leg's repeats."""
+    if len(seconds) > 1:
+        low, _, high = statistics.quantiles(seconds, n=4)
+    else:
+        low = high = seconds[0]
+    return {
+        "seconds": statistics.median(seconds),
+        "q1": low,
+        "q3": high,
+        "min": min(seconds),
+        "runs": seconds,
+    }
 
 
 def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
-    cache = SweepCache(engine_cache_dir / "figure2")
-
     # Digests are memoized per trace: whichever leg computes them first
-    # would otherwise eat the whole hashing bill and skew its timing
-    # (ledger, pool and cache legs all need them).  Pay it once, as
-    # setup, so every leg measures only its own work.
+    # would otherwise eat the whole hashing bill and skew its timing.
+    # Pay it once, as setup, so every leg measures only its own work.
     for trace in full_traces.values():
         trace_digest(trace)
 
-    serial_s, serial = _timed(lambda: run_sweep(full_traces))
     registry = Registry()
-    # The observed leg doubles as the ledger-warming leg: its per-cell
-    # measurements are what the adaptive leg predicts from.
-    ledger = CostLedger(engine_cache_dir / "bench-costs.json")
-    observed_s, observed = _timed(
-        lambda: run_sweep(full_traces, obs=registry, ledger=ledger)
-    )
-    parallel_s, parallel = _timed(
-        lambda: run_sweep(full_traces, workers=WORKERS)
-    )
-    resilient_s, resilient = _timed(
-        lambda: run_sweep(full_traces, workers=WORKERS, resilience=RESILIENT)
-    )
-    plan_log: list = []
-    adaptive_s, adaptive = _timed(
-        lambda: run_sweep(
-            full_traces,
-            backend="adaptive",
-            workers=WORKERS,
-            ledger=CostLedger.load(ledger.path),
-            plan_log=plan_log,
-        )
-    )
-    servers = [start_worker()[0] for _ in range(WORKERS)]
-    try:
-        remote_s, remote_points = _timed(
-            lambda: run_sweep(
-                full_traces,
-                backend="remote",
-                remote=[f"127.0.0.1:{server.port}" for server in servers],
-            )
-        )
-    finally:
-        for server in servers:
-            server.shutdown()
-            server.server_close()
-    cold_s, cold = _timed(lambda: run_sweep(full_traces, cache=cache))
-    warm_s, warm = _timed(lambda: run_sweep(full_traces, cache=cache))
+    caches: list[SweepCache] = []
 
-    assert observed == serial  # metrics never change results
-    assert parallel == serial
-    assert resilient == serial  # fault handling never changes results
-    assert adaptive == serial  # backend choice never changes results
-    assert remote_points == serial  # the wire round-trip is lossless
-    assert cold == serial
-    assert warm == serial
+    def cache_fill():
+        caches.append(SweepCache(engine_cache_dir / f"round{len(caches)}"))
+        return run_sweep(full_traces, cache=caches[-1])
 
-    decision = next(e for e in plan_log if e["event"] == "decision")
-    # Warm ledger: every prediction comes from a measurement, none from
-    # the cold-start default.
-    predict_sources = {
-        e["source"] for e in plan_log if e["event"] == "predict"
+    legs = {
+        "cold_serial": lambda: run_sweep(full_traces),
+        "cold_serial_observed": lambda: run_sweep(
+            full_traces, obs=registry
+        ),
+        "cold_parallel": lambda: run_sweep(full_traces, workers=WORKERS),
+        "cold_parallel_resilient": lambda: run_sweep(
+            full_traces, workers=WORKERS, resilience=RESILIENT
+        ),
+        "cold_serial_cache_fill": cache_fill,
+        "warm_cache": lambda: run_sweep(full_traces, cache=caches[-1]),
     }
-    assert "default" not in predict_sources
+    seconds: dict[str, list[float]] = {name: [] for name in legs}
+    serial = None
+    for round_index in range(ROUNDS):
+        names = list(legs)
+        if round_index % 2:
+            # Alternate the order, keeping each warm leg after its fill.
+            names = names[-2:] + names[:-2][::-1]
+        for name in names:
+            # Cold per-trace caches: no leg inherits the occurrence
+            # index or head arrivals another leg computed.
+            for trace in full_traces.values():
+                trace._cache.clear()
+            start = time.perf_counter()
+            points = legs[name]()
+            seconds[name].append(time.perf_counter() - start)
+            if serial is None:
+                serial = points
+            # Metrics, threads, fault handling and the cache never
+            # change results.
+            assert points == serial, name
+    modes = {name: _summary(runs) for name, runs in seconds.items()}
+    serial_s = modes["cold_serial"]["seconds"]
+    for mode in modes.values():
+        mode["speedup"] = serial_s / mode["seconds"]
+    observed_s = modes["cold_serial_observed"]["seconds"]
+    parallel_s = modes["cold_parallel"]["seconds"]
+    resilient_s = modes["cold_parallel_resilient"]["seconds"]
 
     overhead_percent = 100.0 * (observed_s / serial_s - 1.0)
     assert overhead_percent < MAX_OBS_OVERHEAD_PERCENT
     resilience_percent = 100.0 * (resilient_s / parallel_s - 1.0)
     assert resilience_percent < MAX_RESILIENCE_OVERHEAD_PERCENT
-    counters = registry.snapshot()["counters"]
-    assert counters["sweep.cells_replayed"] == len(serial)
-    # The warm leg replayed nothing: every cell was a cache hit.
     cells = len(serial)
-    assert cache.stats.hits == cells
-    assert cache.stats.misses == cells  # all from the cold leg
-    assert cache.stats.stores == cells
+    counters = registry.snapshot()["counters"]
+    assert counters["sweep.cells_replayed"] == ROUNDS * cells
+    # Each warm leg replayed nothing: every cell was a cache hit.
+    for cache in caches:
+        assert cache.stats.hits == cells
+        assert cache.stats.misses == cells  # all from the fill leg
+        assert cache.stats.stores == cells
 
     cpu_count = os.cpu_count() or 1
     parallel_speedup = serial_s / parallel_s
@@ -178,9 +158,7 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
         if cpu_count >= WORKERS
         else MIN_PARALLEL_SPEEDUP_SINGLE_CORE
     )
-    adaptive_speedup = serial_s / adaptive_s
-    adaptive_overhead_percent = 100.0 * (adaptive_s / serial_s - 1.0)
-    # Only hold the full calibrated workload to the speedup bars: at
+    # Only hold the full calibrated workload to the speedup bar: at
     # smoke scale pool spin-up dominates the replay work it amortizes.
     if BENCH_FLOW_SCALE >= 1.0:
         assert parallel_speedup >= min_parallel_speedup, (
@@ -188,63 +166,44 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
             f"{parallel_speedup:.2f}x cold serial on {cpu_count} CPU(s); "
             f"the floor is {min_parallel_speedup:.2f}x"
         )
-        if cpu_count > 1:
-            # The tightened adaptive gate: with real parallel headroom
-            # the cost model must never lose to cold serial.
-            assert adaptive_speedup >= MIN_ADAPTIVE_SPEEDUP_MULTI_CORE, (
-                f"adaptive backend chose {decision['backend']} and ran "
-                f"at {adaptive_speedup:.2f}x cold serial on "
-                f"{cpu_count} CPUs; the floor is "
-                f"{MIN_ADAPTIVE_SPEEDUP_MULTI_CORE:.2f}x"
-            )
-        else:
-            # One CPU: the correct decision IS serial, and making it
-            # must cost no more than prediction bookkeeping.
-            assert decision["backend"] == "serial", (
-                "on 1 CPU the cost model must select serial, chose "
-                f"{decision['backend']}"
-            )
-            assert adaptive_overhead_percent <= (
-                MAX_ADAPTIVE_OVERHEAD_SINGLE_CORE_PERCENT
-            ), (
-                "adaptive-selected serial ran "
-                f"{adaptive_overhead_percent:+.2f}% vs plain serial; "
-                "the ceiling is "
-                f"{MAX_ADAPTIVE_OVERHEAD_SINGLE_CORE_PERCENT:.1f}%"
-            )
 
+    labels = {
+        "cold_serial": "cold serial (null registry)",
+        "cold_serial_observed": "cold serial + metrics",
+        "cold_parallel": f"cold parallel (workers={WORKERS} threads)",
+        "cold_parallel_resilient": (
+            "cold parallel + resilience "
+            f"(timeout={RESILIENT.task_timeout:g}s)"
+        ),
+        "cold_serial_cache_fill": "cold serial + cache fill",
+        "warm_cache": "warm cache",
+    }
     rows = [
-        ["cold serial (null registry)", fmt(serial_s, 2), fmt(1.0, 2)],
-        ["cold serial + metrics", fmt(observed_s, 2),
-         fmt(serial_s / observed_s, 2)],
-        [f"cold parallel (workers={WORKERS})", fmt(parallel_s, 2),
-         fmt(serial_s / parallel_s, 2)],
-        [f"cold parallel + resilience (timeout={RESILIENT.task_timeout:g}s)",
-         fmt(resilient_s, 2), fmt(serial_s / resilient_s, 2)],
-        [f"adaptive (chose {decision['backend']}, warm ledger)",
-         fmt(adaptive_s, 2), fmt(adaptive_speedup, 2)],
-        [f"remote ({WORKERS} local TCP workers)", fmt(remote_s, 2),
-         fmt(serial_s / remote_s, 2)],
-        ["cold serial + cache fill", fmt(cold_s, 2),
-         fmt(serial_s / cold_s, 2)],
-        ["warm cache", fmt(warm_s, 2), fmt(serial_s / warm_s, 2)],
+        [
+            labels[name],
+            fmt(mode["seconds"], 2),
+            f"{fmt(mode['q1'], 2)}-{fmt(mode['q3'], 2)}",
+            fmt(mode["speedup"], 2),
+        ]
+        for name, mode in modes.items()
     ]
     emit(
         results_dir,
         "sweep_engine",
         render_table(
-            headers=["mode", "seconds", "speedup vs cold serial"],
+            headers=["mode", "median s", "IQR s", "speedup vs cold serial"],
             rows=rows,
             title=(
                 f"Sweep engine: Figure 2 sweep ({cells} cells), "
-                "cold vs parallel vs warm-cache vs observed"
+                f"median of {ROUNDS} interleaved rounds on "
+                f"{cpu_count} CPU(s)"
             ),
         )
         + f"\nmetrics overhead: {overhead_percent:+.2f}% "
         "(observed vs null registry)"
         + f"\nresilience overhead: {resilience_percent:+.2f}% "
         "(deadline-armed vs plain parallel)"
-        + f"\n{cache.stats.render()}",
+        + f"\n{caches[-1].stats.render()}",
     )
     emit_json(
         results_dir,
@@ -254,56 +213,13 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
             "cpu_count": cpu_count,
             "flow_scale": BENCH_FLOW_SCALE,
             "workers": WORKERS,
-            "shared_memory": shared_memory_available(),
+            "rounds": ROUNDS,
             "min_parallel_speedup": min_parallel_speedup,
             "speedup_gate_applied": BENCH_FLOW_SCALE >= 1.0,
-            "modes": {
-                "cold_serial": {"seconds": serial_s, "speedup": 1.0},
-                "cold_serial_observed": {
-                    "seconds": observed_s,
-                    "speedup": serial_s / observed_s,
-                },
-                "cold_parallel": {
-                    "seconds": parallel_s,
-                    "speedup": parallel_speedup,
-                },
-                "cold_parallel_resilient": {
-                    "seconds": resilient_s,
-                    "speedup": serial_s / resilient_s,
-                },
-                "adaptive": {
-                    "seconds": adaptive_s,
-                    "speedup": adaptive_speedup,
-                    "chosen_backend": decision["backend"],
-                    "chosen_workers": decision["workers"],
-                    "predicted_ms": decision["predicted_ms"],
-                    "calibrated_dispatch": decision["calibrated"],
-                },
-                "remote": {
-                    "seconds": remote_s,
-                    "speedup": serial_s / remote_s,
-                    "workers": WORKERS,
-                },
-                "cold_serial_cache_fill": {
-                    "seconds": cold_s,
-                    "speedup": serial_s / cold_s,
-                },
-                "warm_cache": {
-                    "seconds": warm_s,
-                    "speedup": serial_s / warm_s,
-                },
-            },
+            "modes": modes,
             "overheads_percent": {
                 "metrics": overhead_percent,
                 "resilience": resilience_percent,
-                "adaptive_vs_serial": adaptive_overhead_percent,
-            },
-            "adaptive_gate": {
-                "applied": BENCH_FLOW_SCALE >= 1.0,
-                "min_speedup_multi_core": MIN_ADAPTIVE_SPEEDUP_MULTI_CORE,
-                "max_overhead_single_core_percent": (
-                    MAX_ADAPTIVE_OVERHEAD_SINGLE_CORE_PERCENT
-                ),
             },
         },
     )

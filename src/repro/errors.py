@@ -138,13 +138,12 @@ class SweepExecutionError(ExperimentError):
 
 
 class WorkerCrashError(SweepExecutionError):
-    """A sweep worker died (or returned a corrupt result) past the retry
+    """A sweep batch failed (or returned a corrupt result) past the retry
     budget.
 
     Raised after the executor has exhausted its
-    :class:`~repro.resilience.RetryPolicy` for one batch, or when a
-    broken process pool cannot be recovered.  The original failure, if
-    any, is chained as ``__cause__``.
+    :class:`~repro.resilience.RetryPolicy` for one batch.  The original
+    failure, if any, is chained as ``__cause__``.
     """
 
 

@@ -15,9 +15,8 @@ by a SHA-256 digest over exactly those inputs:
   property of the trace's *content*, not of the host's byte order or of
   how the dtype happens to be spelled (``int64`` vs ``>i8``) — caches
   are portable between machines.  The encoding is part of the key:
-  when it changes, every existing entry and cost-ledger record keyed
-  by a trace digest misses once and is recomputed — never served
-  stale.
+  when it changes, every existing entry keyed by a trace digest
+  misses once and is recomputed — never served stale.
 * the scheme name and τ;
 * :data:`CODE_VERSION` — a manual tag naming the semantics of the
   predictor/metric pipeline.  Bump it whenever a change to the
@@ -112,9 +111,9 @@ def trace_digest(trace: PathTrace) -> str:
     scalars digests like one built from Python ints.  Each section is
     framed by its byte length, which makes the encoding unambiguous.
 
-    Memoized per trace object: the engine digests the same traces once
-    per ``run_sweep`` call (for cache addressing *and* for data-plane
-    residency keys), and hashing a long occurrence array is the kind of
+    Memoized per trace object: the build graph and the executor both
+    digest the same traces on one run (for graph state and for cache
+    addressing), and hashing a long occurrence array is the kind of
     per-run fixed cost the sweep loop should pay once.
     """
     memo = _digest_memo.get(trace)

@@ -1,13 +1,15 @@
 """Deterministic fault injection for the sweep executor.
 
-Real worker failures — a crash, a hang, a process-pool death, a corrupt
-result — are timing-dependent and miserable to reproduce in tests.  This
+Real worker failures — a crash, a hang, a corrupt result — are
+timing-dependent and miserable to reproduce in tests.  This
 module replaces them with a *plan*: a picklable description of exactly
 which batch, on exactly which attempt, misbehaves in exactly which way.
 The executor threads the plan into :func:`~repro.experiments.engine.
-executor._run_cells`, so the fault fires inside the worker (or inside
-the in-process serial path) at the same point a real failure would,
-without any actual process murder.
+executor._run_cells`, so the fault fires inside the pool thread (or
+inside the in-process serial path) at the same point a real failure
+would, without any actual thread or process murder.  The serving chaos
+harness (:mod:`repro.serving.chaos`) reuses the same plans, keyed by
+load step instead of batch.
 
 Fault kinds
 -----------
@@ -21,24 +23,11 @@ Fault kinds
 ``corrupt``
     Compute normally but return a mangled result (one point dropped),
     exercising the executor's result validation.
-``pool_break``
-    Raise :class:`concurrent.futures.process.BrokenProcessPool`, which
-    the executor treats exactly like a real pool death: respawn,
-    requeue, and eventually degrade to serial execution.
 ``interrupt``
     Send ``SIGINT`` to the current process before computing — a
-    deterministic stand-in for the operator's Ctrl-C mid-sweep.  Only
-    meaningful for in-process (serial) execution, where the current
-    process is the one running the sweep.
-``lost_worker``
-    A remote sweep worker vanishes (container killed, network
-    partition) while holding the batch.  Fired *parent-side* by the
-    remote backend's dispatch path — the worker's connection is
-    severed and the batch fails with the same
-    :class:`~repro.errors.WorkerCrashError` a real loss produces, so
-    the requeue-onto-survivors machinery is exercised end to end.  The
-    generic :meth:`FaultPlan.before` hook ignores this kind; consumers
-    ask for it explicitly via :meth:`FaultPlan.fires_kind`.
+    deterministic stand-in for the operator's Ctrl-C mid-sweep.  The
+    signal always reaches the main thread, so it works from a pool
+    thread as well as from the serial loop.
 
 Every decision is a pure function of ``(batch_index, attempt)``, so a
 faulted run is as reproducible as a healthy one.
@@ -49,24 +38,16 @@ from __future__ import annotations
 import os
 import signal
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
 
 #: The misbehaviors a :class:`FaultSpec` can inject.
-FAULT_KINDS = (
-    "crash",
-    "hang",
-    "corrupt",
-    "pool_break",
-    "interrupt",
-    "lost_worker",
-)
+FAULT_KINDS = ("crash", "hang", "corrupt", "interrupt")
 
 
 class InjectedFault(RuntimeError):
-    """The stand-in exception a ``crash`` fault raises inside a worker."""
+    """The stand-in exception a ``crash`` fault raises inside a batch."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +92,7 @@ class FaultPlan:
     """A picklable set of :class:`FaultSpec` the executor consults.
 
     ``before`` runs ahead of a batch's computation (crash / hang /
-    pool-break / interrupt kinds); ``after`` post-processes the computed
+    interrupt kinds); ``after`` post-processes the computed
     points (corrupt kind).  A plan with no matching spec is a no-op, so
     production code paths can thread ``faults=None`` or an empty plan
     at zero behavioral cost.
@@ -128,29 +109,10 @@ class FaultPlan:
                 raise InjectedFault(
                     f"injected crash: batch {batch_index}, attempt {attempt}"
                 )
-            if spec.kind == "pool_break":
-                raise BrokenProcessPool(
-                    f"injected pool death: batch {batch_index}, "
-                    f"attempt {attempt}"
-                )
             if spec.kind == "hang":
                 time.sleep(spec.seconds)
             if spec.kind == "interrupt":
                 os.kill(os.getpid(), signal.SIGINT)
-
-    def fires_kind(
-        self, kind: str, batch_index: int, attempt: int
-    ) -> bool:
-        """Whether any spec of ``kind`` fires for one (batch, attempt).
-
-        The hook for faults that fire outside the shared replay path —
-        the remote backend consults ``fires_kind("lost_worker", ...)``
-        in its dispatch lane, where a real worker loss would surface.
-        """
-        return any(
-            spec.kind == kind and spec.fires(batch_index, attempt)
-            for spec in self.specs
-        )
 
     def corrupts(self, batch_index: int, attempt: int) -> bool:
         """Whether a ``corrupt`` fault fires for this attempt."""
@@ -183,19 +145,9 @@ def corrupt_on(batch: int, times: int | None = 1) -> FaultSpec:
     return FaultSpec(kind="corrupt", batch=batch, times=times)
 
 
-def break_pool_on(batch: int, times: int | None = 1) -> FaultSpec:
-    """A batch that takes the whole process pool down with it."""
-    return FaultSpec(kind="pool_break", batch=batch, times=times)
-
-
 def interrupt_on(batch: int) -> FaultSpec:
     """A batch that delivers SIGINT to the sweep, as Ctrl-C would."""
     return FaultSpec(kind="interrupt", batch=batch, times=1)
-
-
-def lose_worker_on(batch: int, times: int | None = 1) -> FaultSpec:
-    """A remote worker that vanishes while holding this batch."""
-    return FaultSpec(kind="lost_worker", batch=batch, times=times)
 
 
 def plan(*specs: FaultSpec) -> FaultPlan:

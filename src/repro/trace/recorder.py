@@ -23,53 +23,6 @@ from repro.trace.extractor import PathExtractor
 from repro.trace.path import PathTable
 
 
-#: Cache keys of the per-path static attribute columns, in the order
-#: the zero-copy trace archive serializes them (see
-#: :meth:`PathTrace.static_columns` and
-#: :mod:`repro.experiments.engine.dataplane`).
-STATIC_COLUMN_KEYS = (
-    "start_uids",
-    "instr",
-    "cond",
-    "indirect",
-    "blocks",
-    "ends_backward",
-)
-
-
-class ColumnTable:
-    """Table stand-in for a trace restored from flat attribute columns.
-
-    A column-restored trace (see :meth:`PathTrace.from_columns`) knows
-    every *numeric* per-path attribute but carries no :class:`Path`
-    objects — the replay pipeline (predictors, hot sets, quality
-    metrics) only ever consumes the columns.  Anything that genuinely
-    needs path structure (signatures, block lists, digests) must use
-    the original trace; asking this table for it fails loudly instead
-    of silently yielding wrong data.
-    """
-
-    __slots__ = ("_num_paths",)
-
-    def __init__(self, num_paths: int):
-        self._num_paths = int(num_paths)
-
-    def __len__(self) -> int:
-        return self._num_paths
-
-    def __iter__(self):
-        raise TraceError(
-            "column-restored trace carries no Path objects; use the "
-            "original trace for path-structure queries"
-        )
-
-    def path(self, path_id: int) -> None:
-        raise TraceError(
-            f"column-restored trace cannot resolve path {path_id}; it "
-            "carries attribute columns only"
-        )
-
-
 class PathTrace:
     """A recorded execution as a sequence of path occurrences.
 
@@ -105,7 +58,7 @@ class PathTrace:
         # silently re-serve a stale digest (and poison the sweep cache).
         # Everything downstream only reads the array.
         self.path_ids.flags.writeable = False
-        self._cache: dict[str, np.ndarray] = {}
+        self._cache: dict[str, np.ndarray | tuple[np.ndarray, ...]] = {}
 
     # ------------------------------------------------------------------
     # Pickling
@@ -240,16 +193,17 @@ class PathTrace:
         replaying this trace — the sweep engine's per-cell argsort used
         to be one of its hottest redundant computations.
         """
-        if "occ_order" not in self._cache:
+
+        def build() -> tuple[np.ndarray, np.ndarray]:
             order = np.argsort(self.path_ids, kind="stable")
             starts = np.searchsorted(
                 self.path_ids[order],
                 np.arange(len(self.table) + 1),
                 side="left",
             )
-            self._cache["occ_order"] = order
-            self._cache["occ_starts"] = starts
-        return self._cache["occ_order"], self._cache["occ_starts"]
+            return order, starts
+
+        return self.cached("occurrence_index", build)
 
     def head_arrivals(
         self, backward_only: bool
@@ -267,9 +221,8 @@ class PathTrace:
         delay τ exactly when ``running[i] > τ``, so every NET cell over
         this trace shares one computation.
         """
-        mode = "backward" if backward_only else "all"
-        running_key, per_head_key = f"running_{mode}", f"per_head_{mode}"
-        if running_key not in self._cache:
+
+        def build() -> tuple[np.ndarray, np.ndarray]:
             head_seq = self.head_sequence()
             n = len(head_seq)
             if backward_only:
@@ -292,63 +245,10 @@ class PathTrace:
             running = np.empty(n, dtype=np.int64)
             running[order] = cumulative - before[np.cumsum(group_start) - 1]
             totals = np.diff(np.append(before, cumulative[-1:]))
-            self._cache[running_key] = running
-            self._cache[per_head_key] = totals[totals > 0]
-        return self._cache[running_key], self._cache[per_head_key]
+            return running, totals[totals > 0]
 
-    # ------------------------------------------------------------------
-    # Columnar form (the zero-copy data plane's exchange format)
-    # ------------------------------------------------------------------
-    def static_columns(self) -> dict[str, np.ndarray]:
-        """All per-path static attribute arrays, keyed by cache key.
-
-        The keys are :data:`STATIC_COLUMN_KEYS`; together with
-        :attr:`path_ids` and :attr:`name` these columns are everything
-        the replay pipeline reads, which is what makes the flat
-        :class:`~repro.experiments.engine.dataplane.TraceArchive`
-        serialization complete for sweep purposes.
-        """
-        return {
-            "start_uids": self.start_uids(),
-            "instr": self.instructions_per_path(),
-            "cond": self.cond_branches_per_path(),
-            "indirect": self.indirect_branches_per_path(),
-            "blocks": self.blocks_per_path(),
-            "ends_backward": self.ends_backward_per_path(),
-        }
-
-    @classmethod
-    def from_columns(
-        cls,
-        name: str,
-        num_paths: int,
-        path_ids: np.ndarray,
-        columns: dict[str, np.ndarray],
-    ) -> "PathTrace":
-        """Rebuild a replay-equivalent trace from flat attribute columns.
-
-        The result has a :class:`ColumnTable` instead of a real
-        :class:`PathTable`: every numeric accessor (frequencies, head
-        sequences, occurrence index, per-path sizes) returns exactly
-        what the original trace would, while structural queries fail
-        loudly.  Used by the sweep data plane to reconstruct traces in
-        pool workers without ever pickling ``Path`` objects.
-        """
-        missing = [key for key in STATIC_COLUMN_KEYS if key not in columns]
-        if missing:
-            raise TraceError(
-                f"trace columns incomplete: missing {', '.join(missing)}"
-            )
-        trace = cls(ColumnTable(num_paths), path_ids, name=name)
-        for key in STATIC_COLUMN_KEYS:
-            column = columns[key]
-            if len(column) != num_paths:
-                raise TraceError(
-                    f"column {key!r} has {len(column)} entries for "
-                    f"{num_paths} paths"
-                )
-            trace._cache[key] = column
-        return trace
+        mode = "backward" if backward_only else "all"
+        return self.cached(f"head_arrivals_{mode}", build)
 
     # ------------------------------------------------------------------
     # Utilities
@@ -369,12 +269,15 @@ class PathTrace:
             name=f"{self.name}+{other.name}",
         )
 
-    def cached(self, key: str, builder) -> np.ndarray:
+    def cached(self, key: str, builder):
         """``builder()``, computed once per trace and kept under ``key``.
 
         For values that are a pure function of the trace's content,
         such as per-path or per-occurrence arrays every predictor
-        replaying the trace shares.
+        replaying the trace shares.  A value made of several arrays is
+        stored as one tuple under one key, so a reader on another
+        thread sees all of it or none of it: the sweep's thread pool
+        replays one trace from several threads at once.
         """
         if key not in self._cache:
             self._cache[key] = builder()

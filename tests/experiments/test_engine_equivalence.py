@@ -1,13 +1,15 @@
 """Engine equivalence: parallel ≡ serial ≡ legacy ≡ cached.
 
 The sweep engine's whole contract is that scheduling is invisible: a
-process-pool sweep, a cache-served sweep and the historical serial loop
+thread-pool sweep, a cache-served sweep and the historical serial loop
 all produce the same ``SweepPoint`` lists — and therefore byte-identical
 Figure 2/3 renders.  These tests pin that contract on every benchmark
 trace at reduced scale.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -21,6 +23,8 @@ from repro.experiments import (
 )
 from repro.experiments.engine import SweepCache, plan_sweep
 from repro.experiments.engine import executor as executor_module
+from repro.obs import Registry
+from repro.trace.recorder import PathTrace
 
 #: Reduced delay grid: still spans the full profiled-flow range.
 DELAYS = (1, 10, 100, 1_000, 10_000)
@@ -65,13 +69,15 @@ def test_parallel_identical_to_serial_for_every_benchmark(
 def test_parallel_identical_across_chunk_sizes(
     all_small_traces, serial_points
 ):
-    """Scheduling granularity must never leak into the results."""
-    for chunk_size in (1, 3, 64):
+    """Scheduling granularity must never leak into the results.
+
+    The chunk size is autotuned from the pending cells and the worker
+    count, so varying ``workers`` varies the chunking: 10 cells per
+    benchmark come in chunks of 5, 3, 2 and 2 cells.
+    """
+    for workers in (1, 2, 3, 4):
         points = run_sweep(
-            all_small_traces,
-            delays=DELAYS,
-            workers=WORKERS,
-            chunk_size=chunk_size,
+            all_small_traces, delays=DELAYS, workers=workers
         )
         assert points == serial_points
 
@@ -130,3 +136,25 @@ def test_cache_and_parallel_compose(all_small_traces, serial_points, tmp_path):
     assert cold == serial_points
     assert warm == serial_points
     assert cache.stats.hits == len(serial_points)
+
+
+def test_thread_pool_on_cold_traces_under_contention(
+    all_small_traces, serial_points
+):
+    """More threads than cores, a tiny switch interval and cold trace
+    caches: the threads race to build each trace's occurrence index,
+    head arrivals and hot set, and no torn value may surface (it would
+    show up as a retried batch or a wrong point)."""
+    cold = {
+        name: PathTrace(trace.table, trace.path_ids, name=trace.name)
+        for name, trace in all_small_traces.items()
+    }
+    registry = Registry()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        points = run_sweep(cold, delays=DELAYS, workers=4, obs=registry)
+    finally:
+        sys.setswitchinterval(interval)
+    assert points == serial_points
+    assert registry.snapshot()["counters"]["sweep.retries"] == 0

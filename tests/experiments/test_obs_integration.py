@@ -41,22 +41,14 @@ def test_worker_metrics_merge_to_serial_totals(all_small_traces):
     assert run_sweep(traces, delays=DELAYS, obs=serial) == run_sweep(
         traces, delays=DELAYS, workers=2, obs=parallel
     )
-    # Scheduling and transport accounting differs by mode (batch count,
-    # data-plane publishes, per-worker context installs, which backend
-    # ran, steal counts, wall-clock histogram buckets); the *work*
-    # counters — replays, predictions, captured flow — must not.
+    # Scheduling accounting differs by mode (batch count, wall-clock
+    # histogram buckets); the *work* counters — replays, predictions,
+    # captured flow — must not.
     def work_counters(registry: Registry) -> dict:
-        transport = (
-            "sweep.batches",
-            "sweep.contexts_installed",
-            "sweep.steals",
-        )
         return {
             name: value
             for name, value in registry.snapshot()["counters"].items()
-            if name not in transport
-            and not name.startswith("sweep.dataplane.")
-            and not name.startswith("sweep.backend_")
+            if name != "sweep.batches"
             and not name.startswith("sweep.cell_ms_le_")
         }
 
@@ -93,3 +85,21 @@ def test_observed_sweep_is_byte_identical_and_counts_cache_traffic(
     assert warm_counters["sweep.cache.hits"] == cells
     assert warm_counters["sweep.cells_cached"] == cells
     assert warm_counters.get("sweep.cells_replayed", 0) == 0
+
+
+def test_every_replayed_cell_gets_a_manifest_timer(all_small_traces):
+    traces = _pair(all_small_traces)
+    registry = Registry()
+    points = run_sweep(traces, delays=DELAYS, workers=2, obs=registry)
+    snapshot = registry.snapshot()
+    timers = snapshot["timers"]
+    for point in points:
+        name = f"sweep.cell.{point.benchmark}:{point.scheme}:{point.delay}"
+        assert timers[name]["count"] == 1
+    assert timers["sweep.cell_ms"]["count"] == len(points)
+    buckets = sum(
+        value
+        for name, value in snapshot["counters"].items()
+        if name.startswith("sweep.cell_ms_le_")
+    )
+    assert buckets == len(points)

@@ -2,12 +2,11 @@
 
 Locks down the acceptance matrix of the resilience layer: a batch that
 crashes twice then succeeds yields a sweep byte-identical to a
-fault-free serial run; a hung batch trips the timeout and is retried; a
-corrupt result is caught and retried; pool death is absorbed by respawn
-and, past the restart budget, by degrading to in-process serial
-execution; and an interrupt mid-sweep leaves a cache from which a rerun
-serves every completed cell without replay.  All of it deterministic —
-no real process murder, no flaky sleeps as synchronization.
+fault-free serial run; a hung batch on the thread pool trips the
+timeout and is retried; a corrupt result is caught and retried; and an
+interrupt mid-sweep leaves a cache from which a rerun serves every
+completed cell without replay.  All of it deterministic — no real
+thread or process murder, no flaky sleeps as synchronization.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.experiments.engine import SweepCache
 from repro.obs import Registry
 from repro.resilience import (
     RetryPolicy,
-    break_pool_on,
     corrupt_on,
     crash_on,
     hang_on,
@@ -69,7 +67,6 @@ def test_flaky_batch_serial_byte_identical(trio, baseline):
     counters = registry.snapshot()["counters"]
     assert counters["sweep.retries"] == 2
     assert counters["sweep.timeouts"] == 0
-    assert counters["sweep.pool_restarts"] == 0
 
 
 def test_flaky_batch_parallel_byte_identical(trio, baseline):
@@ -134,7 +131,7 @@ def test_hung_batch_trips_timeout_and_is_retried(trio, baseline):
     """The hang outlives the deadline; the retry completes the sweep.
 
     One benchmark only: the abandoned sleeper keeps occupying a pool
-    slot, so the retry must land on the free worker immediately.
+    thread, so the retry must land on the free thread immediately.
     """
     solo = {"compress": trio["compress"]}
     registry = Registry()
@@ -153,7 +150,7 @@ def test_hung_batch_trips_timeout_and_is_retried(trio, baseline):
 
 
 def test_timed_out_batches_are_counted_as_zombies(trio, baseline):
-    """An abandoned attempt keeps burning a pool slot until it finishes;
+    """An abandoned attempt keeps burning a pool thread until it finishes;
     the engine must account for it and drain the gauge by sweep end."""
     solo = {"compress": trio["compress"]}
     registry = Registry()
@@ -194,60 +191,6 @@ def test_timeouts_exhaust_to_batch_timeout_error(trio):
             faults=plan(hang_on(batch=0, seconds=1.0, times=None)),
         )
     assert excinfo.value.timeout_seconds == 0.2
-
-
-def test_pool_death_respawns_and_completes(trio, baseline):
-    """One pool death: respawn, requeue orphans, finish identically."""
-    registry = Registry()
-    points = run_sweep(
-        trio,
-        delays=DELAYS,
-        workers=2,
-        resilience=RetryPolicy(
-            max_retries=3, max_pool_restarts=2, **FAST
-        ),
-        faults=plan(break_pool_on(batch=0, times=1)),
-        obs=registry,
-    )
-    assert points == baseline
-    counters = registry.snapshot()["counters"]
-    assert counters["sweep.pool_restarts"] == 1
-    assert counters["sweep.fallback_serial"] == 0
-
-
-def test_pool_death_degrades_to_serial_and_completes(trio, baseline):
-    """Past the restart budget the sweep finishes in-process."""
-    registry = Registry()
-    points = run_sweep(
-        trio,
-        delays=DELAYS,
-        workers=2,
-        resilience=RetryPolicy(
-            max_retries=5, max_pool_restarts=1, **FAST
-        ),
-        faults=plan(break_pool_on(batch=0, times=3)),
-        obs=registry,
-    )
-    assert points == baseline
-    counters = registry.snapshot()["counters"]
-    assert counters["sweep.pool_restarts"] == 2
-    assert counters["sweep.fallback_serial"] == 1
-
-
-def test_pool_death_without_fallback_fails(trio):
-    with pytest.raises(WorkerCrashError, match="serial fallback"):
-        run_sweep(
-            trio,
-            delays=DELAYS,
-            workers=2,
-            resilience=RetryPolicy(
-                max_retries=5,
-                max_pool_restarts=0,
-                fallback_serial=False,
-                **FAST,
-            ),
-            faults=plan(break_pool_on(batch=0, times=None)),
-        )
 
 
 def test_configuration_errors_are_not_retried(trio):
@@ -333,13 +276,10 @@ def test_faulted_retried_parallel_serial_all_equal(trio, baseline):
         trio,
         delays=DELAYS,
         workers=2,
-        resilience=RetryPolicy(
-            max_retries=4, task_timeout=5.0, max_pool_restarts=2, **FAST
-        ),
+        resilience=RetryPolicy(max_retries=4, task_timeout=5.0, **FAST),
         faults=plan(
             crash_on(batch=0, times=1),
             corrupt_on(batch=1, times=1),
-            break_pool_on(batch=2, times=1),
         ),
     )
     assert parallel == baseline
@@ -351,10 +291,5 @@ def test_clean_run_reports_zeroed_resilience_counters(trio):
     registry = Registry()
     run_sweep(trio, delays=DELAYS, obs=registry)
     counters = registry.snapshot()["counters"]
-    for name in (
-        "sweep.retries",
-        "sweep.timeouts",
-        "sweep.pool_restarts",
-        "sweep.fallback_serial",
-    ):
+    for name in ("sweep.retries", "sweep.timeouts", "sweep.zombies"):
         assert counters[name] == 0

@@ -10,10 +10,9 @@ from repro.resilience import DEFAULT_POLICY, RetryPolicy
 
 
 def test_default_policy_is_benign():
-    """The default changes no healthy run: no timeout, fallback on."""
+    """The default changes no healthy run: no timeout, some retries."""
     assert DEFAULT_POLICY.task_timeout is None
     assert DEFAULT_POLICY.max_retries >= 1
-    assert DEFAULT_POLICY.fallback_serial
 
 
 def test_backoff_is_deterministic():
@@ -53,7 +52,7 @@ def test_backoff_zeroth_attempt_is_free():
         {"task_timeout": -5.0},
         {"backoff_base": -0.1},
         {"backoff_base": 2.0, "backoff_cap": 1.0},
-        {"max_pool_restarts": -1},
+        {"backoff_cap": -1.0},
     ],
 )
 def test_invalid_policies_rejected(kwargs):

@@ -101,6 +101,9 @@ def test_report_to_dict_is_json_shaped(tmp_path):
 
 
 def test_unknown_fault_kind_rejected(tmp_path):
-    config = _with_plan(plan(FaultSpec(kind="pool_break", batch=2)))
+    # The spec itself refuses a kind no harness can inject.
     with pytest.raises(Exception, match="pool_break"):
-        run_chaos(config, tmp_path)
+        run_chaos(
+            _with_plan(plan(FaultSpec(kind="pool_break", batch=2))),
+            tmp_path,
+        )

@@ -1,4 +1,4 @@
-"""PathTrace containers: arrays, masks, slicing, pickling, columns."""
+"""PathTrace containers: arrays, masks, slicing, pickling, caches."""
 
 import pickle
 
@@ -13,7 +13,6 @@ from repro.trace import (
     ScriptedOracle,
     record_path_trace,
 )
-from repro.trace.recorder import STATIC_COLUMN_KEYS
 from tests.conftest import make_path
 
 
@@ -120,7 +119,8 @@ def test_pickle_excludes_derived_cache():
     warm = _two_path_trace()
     warm.freqs()
     warm.occurrence_index()
-    warm.static_columns()
+    warm.instructions_per_path()
+    warm.head_arrivals(backward_only=True)
     warm.backward_arrival_mask()
     assert warm._cache  # the warm-up actually populated it
     assert len(pickle.dumps(warm)) == cold_size
@@ -146,61 +146,48 @@ def test_occurrence_index_matches_helper_and_is_cached():
     assert order2 is order and starts2 is starts
 
 
-def test_static_columns_cover_declared_keys():
+class _ReaderBetweenStores(dict):
+    """A trace cache whose first store lets another reader in.
+
+    Stands in for a second thread that reads the trace's cache between
+    two stores of one accessor: after the first ``__setitem__`` lands,
+    the accessor runs again before the original call carries on.
+    """
+
+    def __init__(self, reader):
+        super().__init__()
+        self.reader = reader
+        self.results = []
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        if self.reader is not None:
+            reader, self.reader = self.reader, None
+            self.results.append(reader())
+
+
+@pytest.mark.parametrize(
+    "accessor",
+    [
+        lambda trace: trace.occurrence_index(),
+        lambda trace: trace.head_arrivals(backward_only=True),
+        lambda trace: trace.head_arrivals(backward_only=False),
+    ],
+    ids=["occurrence_index", "head_arrivals_backward", "head_arrivals_all"],
+)
+def test_two_array_caches_are_atomic_for_a_concurrent_reader(accessor):
+    """A reader between the stores sees the whole pair, never half."""
+    reference = accessor(_two_path_trace())
     trace = _two_path_trace()
-    columns = trace.static_columns()
-    assert set(columns) == set(STATIC_COLUMN_KEYS)
-    for key in STATIC_COLUMN_KEYS:
-        assert len(columns[key]) == trace.num_paths
-
-
-def test_from_columns_replays_identically():
-    original = _two_path_trace()
-    restored = PathTrace.from_columns(
-        original.name,
-        original.num_paths,
-        original.path_ids,
-        original.static_columns(),
-    )
-    assert restored.name == original.name
-    assert restored.flow == original.flow
-    assert restored.num_paths == original.num_paths
-    assert np.array_equal(restored.freqs(), original.freqs())
-    assert np.array_equal(restored.head_sequence(), original.head_sequence())
-    assert np.array_equal(
-        restored.backward_arrival_mask(), original.backward_arrival_mask()
-    )
-    assert restored.dynamic_head_uids() == original.dynamic_head_uids()
-    ro, rs = restored.occurrence_index()
-    oo, os_ = original.occurrence_index()
-    assert np.array_equal(ro, oo) and np.array_equal(rs, os_)
-
-
-def test_from_columns_validates_completeness_and_shape():
-    original = _two_path_trace()
-    columns = original.static_columns()
-    incomplete = {k: v for k, v in columns.items() if k != "instr"}
-    with pytest.raises(TraceError, match="missing instr"):
-        PathTrace.from_columns(
-            original.name, original.num_paths, original.path_ids, incomplete
-        )
-    short = dict(columns)
-    short["blocks"] = columns["blocks"][:-1]
-    with pytest.raises(TraceError, match="blocks"):
-        PathTrace.from_columns(
-            original.name, original.num_paths, original.path_ids, short
-        )
-
-
-def test_column_table_fails_structural_queries_loudly():
-    original = _two_path_trace()
-    restored = PathTrace.from_columns(
-        original.name,
-        original.num_paths,
-        original.path_ids,
-        original.static_columns(),
-    )
-    with pytest.raises(TraceError, match="column-restored"):
-        restored.table.path(0)
-    with pytest.raises(TraceError, match="column-restored"):
-        list(restored.table)
+    # Warm the single-array dependencies so the only store left to
+    # interleave with is the accessor's own.
+    trace.head_sequence()
+    trace.backward_arrival_mask()
+    cache = _ReaderBetweenStores(lambda: accessor(trace))
+    cache.update(trace._cache)
+    trace._cache = cache
+    result = accessor(trace)
+    assert len(cache.results) == 1
+    for seen in (result, cache.results[0]):
+        for got, want in zip(seen, reference):
+            assert np.array_equal(got, want)
