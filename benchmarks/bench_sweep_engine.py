@@ -1,6 +1,5 @@
 """Times the sweep engine on the Figure 2 sweep: cold-serial vs
-cold-parallel vs warm-cache, plus the observability and resilience
-overheads.
+cold-parallel vs warm-cache, plus the observability overhead.
 
 One full-scale sweep is 9 benchmarks × 17 delays × 2 schemes = 306
 trace replays, historically the repo's hottest path.  This bench runs
@@ -14,13 +13,6 @@ A second measurement times the same serial sweep with a live metrics
 the default null-registry run, and reports the overhead percentage.
 Observability is designed to publish at cell granularity, never per
 occurrence, so the overhead must stay in the low single digits.
-
-A third measurement times the parallel sweep with an explicit
-resilience policy (per-batch deadline armed, retries budgeted — the
-``--task-timeout``/``--max-retries`` configuration) against the plain
-parallel run.  On a healthy sweep the resilience machinery is pure
-bookkeeping — deadline arithmetic in the streaming wait loop — so its
-overhead must also stay small.
 
 Every leg starts from cold per-trace caches (occurrence index, head
 arrivals), so no leg inherits precomputation from the one before it.
@@ -39,7 +31,6 @@ from conftest import BENCH_FLOW_SCALE, emit, emit_json
 from repro.experiments.engine import SweepCache, run_sweep, trace_digest
 from repro.experiments.report import fmt, render_table
 from repro.obs import Registry
-from repro.resilience import RetryPolicy
 
 #: Thread-pool size for the cold-parallel legs.
 WORKERS = 2
@@ -59,14 +50,6 @@ MIN_PARALLEL_SPEEDUP_SINGLE_CORE = 0.6
 #: Generous ceiling for the observed-run overhead (the acceptance bar
 #: is < 5%; the assert leaves headroom so a noisy machine cannot flake).
 MAX_OBS_OVERHEAD_PERCENT = 25.0
-
-#: Ceiling for the resilient-vs-plain parallel overhead, equally padded
-#: against machine noise.
-MAX_RESILIENCE_OVERHEAD_PERCENT = 25.0
-
-#: A policy with every fault-handling feature armed; the deadline is
-#: far above any healthy batch, so nothing ever trips on this bench.
-RESILIENT = RetryPolicy(max_retries=2, task_timeout=600.0)
 
 
 def _summary(seconds: list[float]) -> dict:
@@ -104,9 +87,6 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
             full_traces, obs=registry
         ),
         "cold_parallel": lambda: run_sweep(full_traces, workers=WORKERS),
-        "cold_parallel_resilient": lambda: run_sweep(
-            full_traces, workers=WORKERS, resilience=RESILIENT
-        ),
         "cold_serial_cache_fill": cache_fill,
         "warm_cache": lambda: run_sweep(full_traces, cache=caches[-1]),
     }
@@ -127,8 +107,7 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
             seconds[name].append(time.perf_counter() - start)
             if serial is None:
                 serial = points
-            # Metrics, threads, fault handling and the cache never
-            # change results.
+            # Metrics, threads and the cache never change results.
             assert points == serial, name
     modes = {name: _summary(runs) for name, runs in seconds.items()}
     serial_s = modes["cold_serial"]["seconds"]
@@ -136,12 +115,9 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
         mode["speedup"] = serial_s / mode["seconds"]
     observed_s = modes["cold_serial_observed"]["seconds"]
     parallel_s = modes["cold_parallel"]["seconds"]
-    resilient_s = modes["cold_parallel_resilient"]["seconds"]
 
     overhead_percent = 100.0 * (observed_s / serial_s - 1.0)
     assert overhead_percent < MAX_OBS_OVERHEAD_PERCENT
-    resilience_percent = 100.0 * (resilient_s / parallel_s - 1.0)
-    assert resilience_percent < MAX_RESILIENCE_OVERHEAD_PERCENT
     cells = len(serial)
     counters = registry.snapshot()["counters"]
     assert counters["sweep.cells_replayed"] == ROUNDS * cells
@@ -171,10 +147,6 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
         "cold_serial": "cold serial (null registry)",
         "cold_serial_observed": "cold serial + metrics",
         "cold_parallel": f"cold parallel (workers={WORKERS} threads)",
-        "cold_parallel_resilient": (
-            "cold parallel + resilience "
-            f"(timeout={RESILIENT.task_timeout:g}s)"
-        ),
         "cold_serial_cache_fill": "cold serial + cache fill",
         "warm_cache": "warm cache",
     }
@@ -201,8 +173,6 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
         )
         + f"\nmetrics overhead: {overhead_percent:+.2f}% "
         "(observed vs null registry)"
-        + f"\nresilience overhead: {resilience_percent:+.2f}% "
-        "(deadline-armed vs plain parallel)"
         + f"\n{caches[-1].stats.render()}",
     )
     emit_json(
@@ -217,9 +187,6 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
             "min_parallel_speedup": min_parallel_speedup,
             "speedup_gate_applied": BENCH_FLOW_SCALE >= 1.0,
             "modes": modes,
-            "overheads_percent": {
-                "metrics": overhead_percent,
-                "resilience": resilience_percent,
-            },
+            "overheads_percent": {"metrics": overhead_percent},
         },
     )

@@ -36,10 +36,10 @@ to collect metrics (phases, counters, timers, cache statistics — see
 one-line summary goes to stderr unless ``--quiet-metrics`` is given.
 Without the flag nothing is measured and nothing changes.
 
-Resilience: the sweep-running commands accept ``--task-timeout`` and
-``--max-retries`` (see ``docs/resilience.md``).  Ctrl-C/SIGTERM exits
-with code 130 after draining completed work: every finished cell is
-already in the cache and the partial manifest is written with
+Failure handling (see ``docs/resilience.md``): a sweep fails fast on
+the first error, and every batch that finished before it is already in
+the cache.  Ctrl-C/SIGTERM exits with code 130 after draining
+completed work; the partial manifest is written with
 ``"interrupted": true``.
 """
 
@@ -65,7 +65,6 @@ from repro.experiments.extended import EXTENDED_IDS, run_extended
 from repro.experiments.report import render_table
 from repro.metrics import counter_space, hot_path_set
 from repro.obs import Registry, RunRecorder, get_registry, render_summary
-from repro.resilience import DEFAULT_POLICY, RetryPolicy
 from repro.serving import (
     ChaosConfig,
     LoadgenConfig,
@@ -132,13 +131,6 @@ def _metrics_registry(args: argparse.Namespace) -> Registry | None:
     return registry
 
 
-def _resilience_policy(args: argparse.Namespace) -> RetryPolicy:
-    """The sweep resilience policy the flags ask for."""
-    return RetryPolicy(
-        max_retries=args.max_retries, task_timeout=args.task_timeout
-    )
-
-
 def _run_recorder(args: argparse.Namespace) -> RunRecorder:
     """A wall-clock recorder, stashed on ``args`` for interrupt flushes."""
     recorder = RunRecorder(args.argv)
@@ -185,7 +177,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     recorder = _run_recorder(args)
     obs = get_registry(registry)
     cache = _engine_cache(args, registry)
-    resilience = _resilience_policy(args)
     if args.dry_run:
         # Plan only: stdout lists exactly the nodes a real run would
         # execute and why (empty when everything is clean); the one-line
@@ -207,7 +198,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache=cache,
             obs=registry,
-            resilience=resilience,
         )
         for name in names:
             text = run.texts[name]
@@ -231,7 +221,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                     workers=args.workers,
                     cache=cache,
                     obs=registry,
-                    resilience=resilience,
                 )
             print(text)
             print()
@@ -265,7 +254,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "workers": args.workers,
             "cache": cache,
             "obs": registry,
-            "resilience": _resilience_policy(args),
         }
         if args.delays:
             kwargs["delays"] = tuple(args.delays)
@@ -491,36 +479,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _timeout_type(text: str) -> float:
-    """Parse ``--task-timeout``; must be a positive number of seconds."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}"
-        ) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"task timeout must be positive, got {value}"
-        )
-    return value
-
-
-def _retries_type(text: str) -> int:
-    """Parse ``--max-retries``; must be a non-negative count."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"max retries must be >= 0 (0 fails fast), got {value}"
-        )
-    return value
-
-
 def _workers_type(text: str) -> int:
     """Parse ``--workers``, rejecting negative pool sizes at parse time.
 
@@ -579,26 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--no-cache",
             action="store_true",
             help="disable the sweep result cache",
-        )
-        p.add_argument(
-            "--task-timeout",
-            type=_timeout_type,
-            default=DEFAULT_POLICY.task_timeout,
-            metavar="SECONDS",
-            help=(
-                "abandon and retry a sweep batch running longer than "
-                "this (thread pool only; default: no timeout)"
-            ),
-        )
-        p.add_argument(
-            "--max-retries",
-            type=_retries_type,
-            default=DEFAULT_POLICY.max_retries,
-            metavar="N",
-            help=(
-                "retries per failed/hung sweep batch before the run "
-                f"fails (default: {DEFAULT_POLICY.max_retries})"
-            ),
         )
 
     def add_metrics_flags(p):

@@ -1,4 +1,4 @@
-"""Sweep execution: cache lookup, fault-tolerant parallel replay,
+"""Sweep execution: cache lookup, fail-fast parallel replay,
 deterministic assembly.
 
 :func:`run_sweep` is the one entry point every delay sweep goes
@@ -14,10 +14,10 @@ the remote worker fleet and the adaptive cost model).
 Determinism guarantee: each cell is a pure function of its trace and
 coordinates, computed by the same :func:`_run_cells` code path in every
 mode, and the output list is ordered by the planner's canonical index
-rather than by completion order.  Serial, threaded, cached and
-*retried* runs of the same sweep therefore return *equal* point lists,
-and every rendered figure built from them is byte-identical — a
-property the equivalence test-suite locks down.
+rather than by completion order.  Serial, threaded and cached runs of
+the same sweep therefore return *equal* point lists, and every rendered
+figure built from them is byte-identical — a property the equivalence
+test-suite locks down.
 
 Scheduling: the pool gets chunked batches (sized by
 :func:`~repro.experiments.engine.planner.autotune_chunk_size` from the
@@ -28,26 +28,20 @@ completed cell's wall clock is recorded into the run manifest
 (``sweep.cell_ms`` histogram plus a ``sweep.cell.<benchmark>:<scheme>:
 <τ>`` timer per cell).
 
-Resilience (see :mod:`repro.resilience` and ``docs/resilience.md``):
-every completed batch is written to the cache *immediately*, so an
-interrupted multi-hour sweep leaves a resumable cache rather than
-losing all replayed-but-unstored cells.  A
-:class:`~repro.resilience.RetryPolicy` bounds per-batch retries (with
-deterministic exponential backoff) and per-attempt timeouts; a timed-out
-batch is abandoned and resubmitted, and its still-running thread is
-accounted as a *zombie* until it finishes.  SIGINT/SIGTERM drain
-completed work, flush the cache, and raise
+Failure handling (see ``docs/resilience.md``): every completed batch is
+written to the cache *immediately*, so a sweep that stops early leaves
+a resumable cache rather than losing its replayed-but-unstored cells.
+The work is pure and deterministic, so a batch that raises would raise
+again: its exception propagates unchanged after one attempt, once the
+pool has cancelled the batches that have not started and let the
+running ones finish.  SIGINT/SIGTERM drain completed work and raise
 :class:`~repro.errors.SweepInterrupted` carrying the partial results.
-A :class:`~repro.resilience.FaultPlan` threads deterministic fault
-injection through :func:`_run_cells`, so the whole failure matrix is
-testable without real thread or process murder.
 
 Observability: pass ``obs`` (a :class:`repro.obs.Registry`) and the
 engine accounts for itself under the ``sweep.`` prefix — cells planned
-/ cached / replayed, replay / hot-set / per-cell timers, and the
-resilience traffic (``retries`` / ``timeouts`` / ``zombies``).  Each
-batch measures into a local registry that travels back with its points
-and is merged as the batch completes, so threaded runs report the same
+/ cached / replayed, replay / hot-set / per-cell timers.  Each batch
+measures into a local registry that travels back with its points and
+is merged as the batch completes, so threaded runs report the same
 totals as serial ones.  With no registry (the default) every instrument
 resolves to the shared null registry and the replay path is
 byte-for-byte the uninstrumented one.
@@ -56,21 +50,9 @@ byte-for-byte the uninstrumented one.
 from __future__ import annotations
 
 import time
-from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
-from repro.errors import (
-    BatchTimeoutError,
-    ExperimentError,
-    ReproError,
-    SweepInterrupted,
-    WorkerCrashError,
-)
+from repro.errors import ExperimentError, SweepInterrupted
 from repro.experiments.engine.cache import SweepCache, cache_key, trace_digest
 from repro.experiments.engine.planner import (
     SweepTask,
@@ -88,12 +70,11 @@ from repro.experiments.sweep import (
 from repro.metrics.hotpaths import HotPathSet, hot_path_set
 from repro.metrics.quality import evaluate_prediction
 from repro.obs.core import Registry, get_registry
-from repro.resilience import DEFAULT_POLICY, FaultPlan, RetryPolicy
 from repro.resilience.signals import InterruptFlag, interrupt_guard
 from repro.trace.recorder import PathTrace
 
-#: Longest the scheduler blocks in one ``wait`` call; bounds how stale
-#: the interrupt flag and per-batch deadlines can get.
+#: Longest the pool loop blocks in one ``wait`` call; bounds how stale
+#: the interrupt flag can get.
 _MAX_TICK_SECONDS = 0.5
 
 #: Timer-name prefix for per-cell manifest entries, relative to the
@@ -140,9 +121,6 @@ def _run_cells(
     context: ReplayContext,
     cells: list[tuple[str, int]],
     observe: bool = False,
-    faults: FaultPlan | None = None,
-    batch_index: int = 0,
-    attempt: int = 0,
 ) -> tuple[list[SweepPoint], dict | None, list[float]]:
     """Replay a batch of (scheme, τ) cells on one replay context.
 
@@ -158,15 +136,8 @@ def _run_cells(
 
     The third element of the payload is each cell's wall-clock cost in
     milliseconds, measured unconditionally (two clock reads per cell)
-    so the parent can fill the manifest's per-cell timers.
-
-    ``faults`` is the deterministic fault-injection hook: planned
-    crashes/hangs fire before the replay, corruption mangles the
-    returned points, all keyed by ``(batch_index, attempt)`` so a
-    faulted run replays identically every time.
+    so the caller can fill the manifest's per-cell timers.
     """
-    if faults is not None:
-        faults.before(batch_index, attempt)
     obs = Registry() if observe else get_registry(None)
     trace = context.trace
     with obs.span("hot_set"):
@@ -182,21 +153,7 @@ def _run_cells(
         obs.counter("cells_replayed").inc()
         outcome.publish(obs.child("prediction"))
         points.append(SweepPoint.from_quality(trace.name, quality))
-    if faults is not None:
-        points = faults.after(batch_index, attempt, points)
     return points, (obs.snapshot() if observe else None), cell_ms
-
-
-def _retryable(error: BaseException) -> bool:
-    """Whether a failed attempt is worth repeating.
-
-    Crashed workers, timeouts and corrupt results are transient by
-    assumption; any other :class:`ReproError` is a deterministic
-    configuration problem that would fail identically on every retry.
-    """
-    if isinstance(error, (WorkerCrashError, BatchTimeoutError)):
-        return True
-    return not isinstance(error, ReproError)
 
 
 def _bucket_counter(ms: float) -> str:
@@ -207,327 +164,118 @@ def _bucket_counter(ms: float) -> str:
     return "cell_ms_le_inf"
 
 
-class _BatchRun:
-    """One batch's scheduling state: attempts used, deadlines, backoff."""
-
-    __slots__ = ("batch", "order", "attempt", "deadline", "not_before")
-
-    def __init__(self, batch: list[SweepTask], order: int):
-        self.batch = batch
-        self.order = order
-        self.attempt = 0
-        self.deadline = float("inf")
-        self.not_before = 0.0
-
-    @property
-    def benchmark(self) -> str:
-        return self.batch[0].benchmark
-
-
 class _SweepRunner:
-    """Executes one sweep's pending batches under a resilience policy.
+    """Executes one sweep's pending batches, serially or on threads.
 
-    Batches flow through the thread pool (or the in-process serial
-    loop); every completed batch is validated, merged into the run's
-    observability registry, written to the cache, timed into the
-    manifest and placed at its canonical index — immediately, not after
-    the pool joins.
+    Every completed batch is merged into the run's observability
+    registry, written to the cache, timed into the manifest and placed
+    at its canonical index — immediately, not after the pool joins.
     """
 
     def __init__(
         self,
         traces: dict[str, PathTrace],
-        batches: list[list[SweepTask]],
-        policy: RetryPolicy,
-        faults: FaultPlan | None,
         engine: Registry,
         observe: bool,
         cache: SweepCache | None,
         keys: dict[int, str],
         results: list[SweepPoint | None],
-        total_cells: int,
         flag: InterruptFlag,
     ):
         self.traces = traces
-        self.runs = [_BatchRun(batch, order) for order, batch in enumerate(batches)]
-        self.policy = policy
-        self.faults = faults
         self.engine = engine
         self.observe = observe
         self.cache = cache
         self.keys = keys
         self.results = results
-        self.total_cells = total_cells
         self.flag = flag
-        #: Benchmark → memoized replay context; each trace's hot set
-        #: and occurrence index are computed once, not per batch.
-        self.contexts: dict[str, ReplayContext] = {}
-        #: Futures abandoned by a timeout whose thread is still burning
-        #: a pool slot on the stale attempt.
-        self.zombies: set[Future] = set()
+        #: Benchmark → replay context; each trace's hot set and
+        #: occurrence index are computed once, not per batch.
+        self.contexts = {
+            name: ReplayContext(trace) for name, trace in traces.items()
+        }
 
-    # -- completion ----------------------------------------------------
-    def _validate(self, run: _BatchRun, payload) -> tuple[list, dict | None, list]:
-        """Check a batch result's shape against its plan."""
-        try:
-            points, snapshot, cell_ms = payload
-        except (TypeError, ValueError) as error:
-            raise WorkerCrashError(
-                "corrupt batch result: not a (points, snapshot, "
-                "cell_ms) triple",
-                benchmark=run.benchmark,
-                batch_index=run.order,
-                attempts=run.attempt + 1,
-            ) from error
-        if len(points) != len(run.batch):
-            raise WorkerCrashError(
-                f"corrupt batch result: {len(points)} points for "
-                f"{len(run.batch)} cells",
-                benchmark=run.benchmark,
-                batch_index=run.order,
-                attempts=run.attempt + 1,
-            )
-        for task, point in zip(run.batch, points):
-            if point.scheme != task.scheme or point.delay != task.delay:
-                raise WorkerCrashError(
-                    "corrupt batch result: point coordinates do not "
-                    "match the plan",
-                    benchmark=run.benchmark,
-                    batch_index=run.order,
-                    attempts=run.attempt + 1,
-                )
-        return points, snapshot, cell_ms
+    def _replay(self, batch: list[SweepTask]):
+        """Replay one batch; what the serial loop and the pool run."""
+        return _run_cells(
+            self.contexts[batch[0].benchmark],
+            [task.cell for task in batch],
+            self.observe,
+        )
 
-    def _record_costs(self, run: _BatchRun, cell_ms: list) -> None:
-        """Fold a completed batch's per-cell timings into the manifest."""
-        if not self.observe:
-            return
-        for task, ms in zip(run.batch, cell_ms):
-            try:
-                ms = float(ms)
-            except (TypeError, ValueError):
-                continue
-            seconds = ms / 1000.0
-            self.engine.timer("cell_ms").observe(seconds)
-            self.engine.counter(_bucket_counter(ms)).inc()
-            self.engine.timer(
-                CELL_TIMER_PREFIX
-                + cell_name(task.benchmark, task.scheme, task.delay)
-            ).observe(seconds)
-
-    def _complete(self, run: _BatchRun, payload) -> None:
-        """Validate, merge metrics, place results and flush the cache."""
-        points, snapshot, cell_ms = self._validate(run, payload)
+    def _complete(self, batch: list[SweepTask], payload) -> None:
+        """Merge metrics, place results and flush the cache."""
+        points, snapshot, cell_ms = payload
         if snapshot is not None:
             # Batch measurements use batch-relative names; merging
             # through the child view re-prefixes them.
             self.engine.merge(snapshot)
-        self._record_costs(run, cell_ms)
-        for task, point in zip(run.batch, points):
+        if self.observe:
+            for task, ms in zip(batch, cell_ms):
+                seconds = ms / 1000.0
+                self.engine.timer("cell_ms").observe(seconds)
+                self.engine.counter(_bucket_counter(ms)).inc()
+                self.engine.timer(
+                    CELL_TIMER_PREFIX
+                    + cell_name(task.benchmark, task.scheme, task.delay)
+                ).observe(seconds)
+        for task, point in zip(batch, points):
             self.results[task.index] = point
             if self.cache is not None:
                 self.cache.put(self.keys[task.index], point)
 
-    # -- failure handling ----------------------------------------------
-    def _retry_or_raise(
-        self,
-        run: _BatchRun,
-        error: BaseException | None,
-        waiting: list[_BatchRun],
-        timed_out: bool = False,
-    ) -> None:
-        """Schedule one more attempt, or raise the structured failure."""
-        if error is not None and not _retryable(error):
-            raise error
-        if run.attempt + 1 > self.policy.max_retries:
-            if timed_out:
-                raise BatchTimeoutError(
-                    "sweep batch timed out on every attempt",
-                    benchmark=run.benchmark,
-                    batch_index=run.order,
-                    attempts=run.attempt + 1,
-                    timeout_seconds=self.policy.task_timeout,
-                ) from error
-            raise WorkerCrashError(
-                "sweep batch failed on every attempt",
-                benchmark=run.benchmark,
-                batch_index=run.order,
-                attempts=run.attempt + 1,
-            ) from error
-        run.attempt += 1
-        self.engine.counter("retries").inc()
-        run.not_before = time.monotonic() + self.policy.backoff_seconds(
-            run.order, run.attempt
-        )
-        waiting.append(run)
-
-    def _interrupt(self) -> None:
-        """Raise the structured interrupt with everything completed."""
+    def interrupted(self) -> SweepInterrupted:
+        """The structured interrupt, carrying everything completed."""
         self.engine.counter("interrupted").inc()
         partial = [point for point in self.results if point is not None]
-        raise SweepInterrupted(
+        return SweepInterrupted(
             partial=partial,
             completed=len(partial),
-            total=self.total_cells,
+            total=len(self.results),
             signal_name=self.flag.signal_name,
         )
 
     def _check_interrupt(self) -> None:
         if self.flag.fired:
-            self._interrupt()
+            raise self.interrupted()
 
-    def _context(self, benchmark: str) -> ReplayContext:
-        """The memoized replay context for ``benchmark``."""
-        context = self.contexts.get(benchmark)
-        if context is None:
-            context = ReplayContext(self.traces[benchmark])
-            self.contexts[benchmark] = context
-        return context
-
-    # -- serial execution ----------------------------------------------
-    def _run_serial(self) -> None:
-        """In-process execution with retries (timeouts cannot preempt)."""
-        for run in self.runs:
-            context = self._context(run.benchmark)
-            cells = [task.cell for task in run.batch]
-            while True:
-                self._check_interrupt()
-                try:
-                    payload = _run_cells(
-                        context,
-                        cells,
-                        self.observe,
-                        self.faults,
-                        run.order,
-                        run.attempt,
-                    )
-                    self._complete(run, payload)
-                    break
-                except (SweepInterrupted, KeyboardInterrupt):
-                    raise
-                except Exception as error:
-                    waiting: list[_BatchRun] = []
-                    self._retry_or_raise(run, error, waiting)
-                    # No scheduler to wake us up: honor the backoff here.
-                    time.sleep(max(run.not_before - time.monotonic(), 0.0))
-
-    # -- pooled execution ----------------------------------------------
-    def _submit(self, pool: ThreadPoolExecutor, run: _BatchRun) -> Future:
-        future = pool.submit(
-            _run_cells,
-            self._context(run.benchmark),
-            [task.cell for task in run.batch],
-            self.observe,
-            self.faults,
-            run.order,
-            run.attempt,
-        )
-        if self.policy.task_timeout is not None:
-            run.deadline = time.monotonic() + self.policy.task_timeout
-        else:
-            run.deadline = float("inf")
-        return future
-
-    def _reap_zombies(self) -> None:
-        """Drop abandoned futures whose stale attempt finally finished."""
-        if not self.zombies:
-            return
-        finished = [future for future in self.zombies if future.done()]
-        if finished:
-            self.zombies.difference_update(finished)
-            self.engine.gauge("zombie_slots").set(len(self.zombies))
-
-    def _tick(
-        self, inflight: dict[Future, _BatchRun], waiting: list[_BatchRun]
-    ) -> float:
-        """How long the next ``wait`` may block."""
-        now = time.monotonic()
-        horizon = now + _MAX_TICK_SECONDS
-        for run in inflight.values():
-            horizon = min(horizon, run.deadline)
-        for run in waiting:
-            horizon = min(horizon, run.not_before)
-        return max(horizon - now, 0.01)
-
-    def _cost(self, run: _BatchRun) -> int:
+    def _cost(self, batch: list[SweepTask]) -> int:
         """A batch's replay cost read off its input: occurrences × cells."""
-        return len(self.traces[run.benchmark].path_ids) * len(run.batch)
+        return len(self.traces[batch[0].benchmark].path_ids) * len(batch)
 
-    def _run_pooled(self, workers: int) -> None:
-        # Largest first, so the long batches start while short ones
-        # remain to fill in behind them; submitting in canonical order
-        # instead measured ~9% slower on the full Figure 2 sweep.
-        queue = deque(sorted(self.runs, key=self._cost, reverse=True))
-        waiting: list[_BatchRun] = []
-        inflight: dict[Future, _BatchRun] = {}
+    def run(self, batches: list[list[SweepTask]], workers: int) -> None:
+        if workers == 0:
+            for batch in batches:
+                self._check_interrupt()
+                self._complete(batch, self._replay(batch))
+            return
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            while queue or waiting or inflight:
+            # Largest first, so the long batches start while short ones
+            # remain to fill in behind them; submitting in canonical
+            # order instead measured ~9% slower on the full Figure 2
+            # sweep.
+            inflight = {
+                pool.submit(self._replay, batch): batch
+                for batch in sorted(batches, key=self._cost, reverse=True)
+            }
+            while inflight:
                 self._check_interrupt()
-                self._reap_zombies()
-                now = time.monotonic()
-                due = [run for run in waiting if run.not_before <= now]
-                if due:
-                    waiting = [run for run in waiting if run.not_before > now]
-                    queue.extendleft(reversed(due))
-                # Zombie threads still occupy pool slots: shrink the
-                # submit budget so live batches are not queued behind
-                # them (but never to zero — the pool's own queue keeps
-                # the sweep moving even fully zombified).
-                budget = max(1, workers - len(self.zombies))
-                while queue and len(inflight) < budget:
-                    run = queue.popleft()
-                    inflight[self._submit(pool, run)] = run
-                if inflight:
-                    done, _ = wait(
-                        set(inflight),
-                        timeout=self._tick(inflight, waiting),
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in done:
-                        run = inflight.pop(future)
-                        try:
-                            payload = future.result()
-                        except (SweepInterrupted, KeyboardInterrupt):
-                            raise
-                        except Exception as error:
-                            self._retry_or_raise(run, error, waiting)
-                            continue
-                        try:
-                            self._complete(run, payload)
-                        except WorkerCrashError as error:
-                            self._retry_or_raise(run, error, waiting)
-                    now = time.monotonic()
-                    for future, run in list(inflight.items()):
-                        if run.deadline <= now:
-                            # Abandon the future; a late result from it
-                            # is never read.  Until the stale attempt
-                            # finishes, its thread is a zombie burning a
-                            # pool slot — tracked so the submit budget
-                            # shrinks accordingly.
-                            del inflight[future]
-                            self.zombies.add(future)
-                            self.engine.counter("zombies").inc()
-                            self.engine.gauge("zombie_slots").set(
-                                len(self.zombies)
-                            )
-                            self.engine.counter("timeouts").inc()
-                            self._retry_or_raise(
-                                run, None, waiting, timed_out=True
-                            )
-                elif waiting:
-                    pause = min(run.not_before for run in waiting) - now
-                    time.sleep(min(max(pause, 0.0), _MAX_TICK_SECONDS))
+                done, _ = wait(
+                    inflight,
+                    timeout=_MAX_TICK_SECONDS,
+                    return_when=FIRST_COMPLETED,
+                )
+                # Failures last, so every batch that finished alongside
+                # one is cached before its exception propagates.
+                for future in sorted(
+                    done, key=lambda each: each.exception() is not None
+                ):
+                    self._complete(inflight.pop(future), future.result())
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-            self.zombies.clear()
-            self.engine.gauge("zombie_slots").set(0)
-
-    def run(self, workers: int) -> None:
-        if workers > 0:
-            self._run_pooled(workers)
-        else:
-            self._run_serial()
+            # Unstarted batches are cancelled; running ones finish (a
+            # thread cannot be stopped), so no replay outlives the call.
+            pool.shutdown(cancel_futures=True)
 
 
 def run_sweep(
@@ -537,8 +285,6 @@ def run_sweep(
     workers: int = 0,
     cache: SweepCache | None = None,
     obs: Registry | None = None,
-    resilience: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
 ) -> list[SweepPoint]:
     """Measure every (benchmark, scheme, τ) cell of a sweep.
 
@@ -555,32 +301,23 @@ def run_sweep(
     cache:
         Optional :class:`SweepCache`.  Cached cells are served without
         replay; computed cells are stored back *as each batch completes*,
-        so an interrupted sweep resumes from everything it finished.
+        so a sweep that stops early resumes from everything it finished.
         Hit/miss accounting accumulates on ``cache.stats``.
     obs:
         Optional observability registry; engine metrics land under its
         ``sweep.`` prefix (see the module docstring).  ``None`` runs
         uninstrumented at zero cost.
-    resilience:
-        Optional :class:`~repro.resilience.RetryPolicy`; ``None`` uses
-        :data:`~repro.resilience.DEFAULT_POLICY` (bounded retries, no
-        timeout).
-    faults:
-        Optional :class:`~repro.resilience.FaultPlan` for deterministic
-        fault injection (tests and drills only); every kind fires
-        inside :func:`_run_cells` wherever it runs.
 
     Raises
     ------
     SweepInterrupted
         On SIGINT/SIGTERM, after draining completed batches and
         flushing the cache; carries the partial results.
-    WorkerCrashError / BatchTimeoutError
-        When one batch exhausts the policy's retry budget.
+    Exception
+        Whatever a batch raised, unchanged, after one attempt.
     """
     if workers < 0:
         raise ExperimentError(f"workers must be >= 0, got {workers}")
-    policy = resilience if resilience is not None else DEFAULT_POLICY
     engine = get_registry(obs).child("sweep")
     observe = engine.enabled
     with engine.span("total"):
@@ -591,10 +328,6 @@ def run_sweep(
         # zeros included.
         engine.counter("cells_cached")
         engine.counter("cells_replayed")
-        engine.counter("retries")
-        engine.counter("timeouts")
-        engine.counter("zombies")
-        engine.gauge("zombie_slots").set(0)
         results: list[SweepPoint | None] = [None] * len(tasks)
 
         keys: dict[int, str] = {}
@@ -643,33 +376,14 @@ def run_sweep(
             engine.counter("batches").inc(len(batches))
             with interrupt_guard() as flag:
                 runner = _SweepRunner(
-                    traces=traces,
-                    batches=batches,
-                    policy=policy,
-                    faults=faults,
-                    engine=engine,
-                    observe=observe,
-                    cache=cache,
-                    keys=keys,
-                    results=results,
-                    total_cells=len(tasks),
-                    flag=flag,
+                    traces, engine, observe, cache, keys, results, flag
                 )
                 try:
-                    runner.run(workers)
+                    runner.run(batches, workers)
                 except KeyboardInterrupt:
                     # Signal arrived where the guard could not trap it
                     # (non-main thread, or the operator's second
                     # Ctrl-C).
-                    engine.counter("interrupted").inc()
-                    partial = [
-                        point for point in results if point is not None
-                    ]
-                    raise SweepInterrupted(
-                        partial=partial,
-                        completed=len(partial),
-                        total=len(tasks),
-                        signal_name=flag.signal_name,
-                    ) from None
+                    raise runner.interrupted() from None
 
     return [point for point in results if point is not None]

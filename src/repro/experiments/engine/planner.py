@@ -109,8 +109,7 @@ def chunk_tasks(
 
 #: Ceiling on the autotuned chunk size.  Pool threads share the
 #: parent's traces, so a large chunk saves nothing on transfer but costs
-#: scheduling flexibility (and retry granularity — a faulted batch
-#: re-replays its whole chunk).
+#: scheduling flexibility.
 AUTOTUNE_MAX_CHUNK = 32
 
 #: Batches the autotuner aims to give each worker per benchmark, so the

@@ -21,7 +21,6 @@ from repro.experiments.sweep import (
     scheme_curve,
 )
 from repro.obs.core import Registry
-from repro.resilience import RetryPolicy
 from repro.trace.recorder import PathTrace
 from repro.workloads.spec import BENCHMARK_ORDER
 
@@ -77,7 +76,6 @@ def build_figure2(
     workers: int = 0,
     cache: SweepCache | None = None,
     obs: Registry | None = None,
-    resilience: RetryPolicy | None = None,
 ) -> FigureCurves:
     """Sweep every benchmark with both schemes.
 
@@ -85,8 +83,7 @@ def build_figure2(
     thread pool and ``cache`` serves previously computed cells — both
     produce output identical to the serial, uncached sweep.  ``obs``
     reaches the engine's instrumentation (see
-    ``docs/observability.md``) and ``resilience`` its retry/timeout
-    policy (``docs/resilience.md``).
+    ``docs/observability.md``).
     """
     if traces is None:
         traces = benchmark_traces(flow_scale=flow_scale)
@@ -96,7 +93,6 @@ def build_figure2(
         workers=workers,
         cache=cache,
         obs=obs,
-        resilience=resilience,
     )
     return FigureCurves(points=points, delays=delays)
 

@@ -11,7 +11,6 @@ from repro.experiments.engine import SweepCache
 from repro.experiments.engine.graph import TargetSpec
 from repro.experiments.figure2 import FigureCurves, build_figure2, render_panel
 from repro.obs.core import Registry
-from repro.resilience import RetryPolicy
 from repro.trace.recorder import PathTrace
 from repro.workloads.spec import BENCHMARK_ORDER
 
@@ -22,7 +21,6 @@ def build_figure3(
     workers: int = 0,
     cache: SweepCache | None = None,
     obs: Registry | None = None,
-    resilience: RetryPolicy | None = None,
 ) -> FigureCurves:
     """Figure 3 shares Figure 2's sweep; build (or reuse) it.
 
@@ -35,7 +33,6 @@ def build_figure3(
         workers=workers,
         cache=cache,
         obs=obs,
-        resilience=resilience,
     )
 
 

@@ -26,7 +26,6 @@ from repro.experiments.engine.graph import TargetSpec
 from repro.experiments.sweep import DEFAULT_DELAYS
 from repro.experiments.targets import TARGETS
 from repro.obs.core import Registry
-from repro.resilience import RetryPolicy
 
 
 def _run_target(
@@ -35,20 +34,13 @@ def _run_target(
     workers: int,
     cache: SweepCache | None,
     obs: Registry | None,
-    resilience: RetryPolicy | None,
 ) -> str:
     """Compute one target from scratch via its declaration."""
     if target.sweep:
         traces = benchmark_traces(
             names=list(target.benchmarks), flow_scale=flow_scale
         )
-        points = run_sweep(
-            traces,
-            workers=workers,
-            cache=cache,
-            obs=obs,
-            resilience=resilience,
-        )
+        points = run_sweep(traces, workers=workers, cache=cache, obs=obs)
         return target.render_points(points, DEFAULT_DELAYS)
     traces = (
         benchmark_traces(
@@ -75,11 +67,10 @@ def run_experiment(
     workers: int = 0,
     cache: SweepCache | None = None,
     obs: Registry | None = None,
-    resilience: RetryPolicy | None = None,
 ) -> str:
     """Regenerate one experiment and return its text rendering.
 
-    ``workers``, ``cache``, ``obs`` and ``resilience`` reach the sweep
+    ``workers``, ``cache`` and ``obs`` reach the sweep
     engine for the experiments in :data:`SWEEP_EXPERIMENTS`; the others
     ignore them.
     """
@@ -90,4 +81,4 @@ def run_experiment(
         raise ExperimentError(
             f"unknown experiment {name!r}; known: {known}"
         ) from None
-    return _run_target(target, flow_scale, workers, cache, obs, resilience)
+    return _run_target(target, flow_scale, workers, cache, obs)

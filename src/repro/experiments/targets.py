@@ -63,7 +63,6 @@ from repro.experiments.sweep import DEFAULT_DELAYS, SCHEMES, SweepPoint
 from repro.experiments.table1 import TARGET as _TABLE1_TARGET
 from repro.experiments.table2 import TARGET as _TABLE2_TARGET
 from repro.obs.core import Registry, get_registry
-from repro.resilience import RetryPolicy
 from repro.trace.recorder import PathTrace
 from repro.workloads.base import load_benchmark
 from repro.workloads.spec import BENCHMARK_ORDER
@@ -243,13 +242,12 @@ def run_targets(
     workers: int = 0,
     cache: SweepCache | None = None,
     obs: Registry | None = None,
-    resilience: RetryPolicy | None = None,
 ) -> TargetRun:
     """Execute the dirty subgraph and return every requested artifact.
 
-    The engine parameters (``workers``, ``resilience``) reach the one
-    :func:`run_sweep` call that replays dirty cells; they never affect
-    results, only how the replay is scheduled.  ``obs``
+    ``workers`` reaches the one :func:`run_sweep` call that replays
+    dirty cells; it never affects results, only how the replay is
+    scheduled.  ``obs``
     lands the graph accounting under its ``graph.`` prefix
     (``nodes_total`` / ``nodes_dirty`` / ``nodes_skipped`` /
     ``cells_executed`` / ``renders_executed`` / ``renders_served``).
@@ -320,7 +318,6 @@ def run_targets(
                 workers=workers,
                 cache=cache,
                 obs=obs,
-                resilience=resilience,
             )
             for point in points:
                 executed[(point.benchmark, point.scheme, point.delay)] = (

@@ -1,32 +1,22 @@
-"""``repro.resilience`` — fault tolerance for long-running execution.
-
-The sweep engine's failure story lives here, split from the executor so
-policy and mechanism stay testable on their own:
+"""``repro.resilience`` — the pieces long-running work shares for
+failing well:
 
 * :mod:`repro.resilience.policy` — :class:`RetryPolicy`: bounded
-  retries, per-task timeouts and exponential backoff with
-  deterministic jitter.
+  retries with exponential backoff and deterministic jitter, used by
+  :class:`~repro.serving.transport.ServingClient` to reconnect.
 * :mod:`repro.resilience.faults` — :class:`FaultPlan`/:class:`FaultSpec`:
-  deterministic injection of crashes, hangs, corrupt results and
-  interrupts, keyed by (batch, attempt).
+  the deterministic fault plans the serving chaos harness injects,
+  keyed by load step.
 * :mod:`repro.resilience.signals` — :func:`interrupt_guard`: cooperative
-  SIGINT/SIGTERM shutdown.
+  SIGINT/SIGTERM shutdown, shared by the sweep executor and
+  ``repro serve``.
 
-See ``docs/resilience.md`` for the failure-mode tour and the guarantees
-the executor builds on these pieces.
+The sweep executor itself does not retry: its work is pure and
+deterministic, so a failing batch fails fast.  See
+``docs/resilience.md`` for the failure-mode tour.
 """
 
-from repro.resilience.faults import (
-    FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    corrupt_on,
-    crash_on,
-    hang_on,
-    interrupt_on,
-    plan,
-)
+from repro.resilience.faults import FAULT_KINDS, FaultPlan, FaultSpec, plan
 from repro.resilience.policy import DEFAULT_POLICY, RetryPolicy
 from repro.resilience.signals import InterruptFlag, interrupt_guard
 
@@ -35,13 +25,8 @@ __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
-    "InjectedFault",
     "InterruptFlag",
     "RetryPolicy",
-    "corrupt_on",
-    "crash_on",
-    "hang_on",
     "interrupt_guard",
-    "interrupt_on",
     "plan",
 ]

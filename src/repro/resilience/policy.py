@@ -1,17 +1,13 @@
-"""Retry/timeout policy for fault-tolerant sweep execution.
+"""Retry policy for reconnecting serving clients.
 
 A :class:`RetryPolicy` is an immutable description of how much failure
-the executor tolerates before giving up: how many times a batch may be
-retried, how long one attempt may run, and how retries are spaced.
+a caller tolerates before giving up: how many times an operation may be
+retried, and how retries are spaced.
 
 Backoff is exponential with **deterministic jitter**: the jitter
-fraction for (batch, attempt) is derived from a SHA-256 hash of the
-policy seed and those coordinates, so two runs of the same sweep retry
-on exactly the same schedule.  Retried results themselves are already
-deterministic (every cell is a pure function of its inputs), so the
-seeded jitter keeps the *entire* execution — results and timing
-structure — reproducible, which is what lets the equivalence suite
-assert that a retried sweep is byte-identical to a fault-free one.
+fraction for (operation, attempt) is derived from a SHA-256 hash of
+those coordinates alone, so two runs of the same client retry on
+exactly the same schedule.
 """
 
 from __future__ import annotations
@@ -22,46 +18,34 @@ from dataclasses import dataclass
 from repro.errors import ExperimentError
 
 
-def _jitter_fraction(seed: int, batch_index: int, attempt: int) -> float:
+def _jitter_fraction(op_index: int, attempt: int) -> float:
     """Deterministic uniform-ish fraction in [0, 1) for one retry."""
-    payload = f"{seed}:{batch_index}:{attempt}".encode("utf-8")
+    payload = f"{op_index}:{attempt}".encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the sweep executor responds to failing or hanging work.
+    """How a caller responds to failing operations.
 
     Parameters
     ----------
     max_retries:
-        Retries per batch beyond the first attempt; ``0`` fails fast.
-    task_timeout:
-        Seconds one batch attempt may run before it is abandoned and
-        retried (``None`` disables timeouts).  Enforced only on the
-        thread pool — an in-process batch cannot be preempted.
+        Retries per operation beyond the first attempt; ``0`` fails fast.
     backoff_base / backoff_cap:
         Retry *n* waits ``min(cap, base * 2**(n-1))`` seconds, scaled by
         a deterministic jitter factor in [0.5, 1.0).
-    jitter_seed:
-        Seed of the deterministic jitter; same seed → same schedule.
     """
 
     max_retries: int = 2
-    task_timeout: float | None = None
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
-    jitter_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ExperimentError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ExperimentError(
-                f"task_timeout must be positive, got {self.task_timeout}"
             )
         if self.backoff_base < 0 or self.backoff_cap < self.backoff_base:
             raise ExperimentError(
@@ -69,8 +53,8 @@ class RetryPolicy:
                 f"got base={self.backoff_base}, cap={self.backoff_cap}"
             )
 
-    def backoff_seconds(self, batch_index: int, attempt: int) -> float:
-        """Delay before retry ``attempt`` (1-based) of one batch.
+    def backoff_seconds(self, op_index: int, attempt: int) -> float:
+        """Delay before retry ``attempt`` (1-based) of one operation.
 
         Exponential in the attempt number, capped, and jittered
         deterministically so concurrent retries spread out the same way
@@ -81,11 +65,8 @@ class RetryPolicy:
         base = min(
             self.backoff_cap, self.backoff_base * (2 ** (attempt - 1))
         )
-        return base * (
-            0.5 + 0.5 * _jitter_fraction(self.jitter_seed, batch_index, attempt)
-        )
+        return base * (0.5 + 0.5 * _jitter_fraction(op_index, attempt))
 
 
-#: The executor's default: a couple of retries, no timeout — resilient
-#: without changing any healthy run's behavior.
+#: The default: a couple of retries with short backoff.
 DEFAULT_POLICY = RetryPolicy()

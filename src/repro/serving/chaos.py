@@ -10,8 +10,7 @@ final per-tenant fingerprints are compared against a fault-free
 baseline.
 
 Fault vocabulary — a :class:`~repro.resilience.FaultPlan` keyed by the
-global schedule step, reusing the sweep executor's spec machinery with
-serving-specific meanings:
+global schedule step:
 
 ``crash``
     Kill the server before the step (no drain, no final checkpoint —
@@ -441,7 +440,7 @@ def run_chaos(
     with registry.span("chaos.replay"):
         for step, (tenant_id, seq) in enumerate(schedule):
             for spec in config.faults.specs:
-                if not spec.fires(step, 0):
+                if not spec.fires(step):
                     continue
                 if spec.kind == "crash":
                     driver.kill()
@@ -464,7 +463,7 @@ def run_chaos(
                 faults_fired.append((spec.kind, step))
 
             lost_ack = any(
-                spec.kind == "hang" and spec.fires(step, 0)
+                spec.kind == "hang" and spec.fires(step)
                 for spec in config.faults.specs
             )
             sels, _ = driver.ingest(tenant_id, tenants[tenant_id], seq)

@@ -61,30 +61,6 @@ class PathTrace:
         self._cache: dict[str, np.ndarray | tuple[np.ndarray, ...]] = {}
 
     # ------------------------------------------------------------------
-    # Pickling
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle without the derived-array cache.
-
-        Every cached array is a pure function of the table and the
-        occurrence sequence, so a receiver can always rebuild it.
-        Shipping the cache would silently bloat every process-pool
-        payload by whatever happened to be computed in the parent
-        (freqs, occurrence index, …) — for a warm trace, several times
-        the trace itself.
-        """
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Unpickling materializes a fresh, writeable array; restore the
-        # immutability invariant __init__ establishes.
-        self.path_ids.flags.writeable = False
-        self._cache = {}
-
-    # ------------------------------------------------------------------
     # Sizes
     # ------------------------------------------------------------------
     @property

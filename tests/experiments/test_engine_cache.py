@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import pickle
 import stat
 
 import pytest
@@ -174,14 +173,11 @@ def test_digest_memo_detects_path_ids_reassignment(synthetic_trace):
 
 def test_trace_occurrence_array_is_frozen(synthetic_trace):
     """In-place mutation — the memo guard's blind spot — is ruled out
-    at the source: PathTrace freezes its occurrence array, including
-    after a pickle round-trip (the engine ships traces to workers)."""
+    at the source: PathTrace freezes its occurrence array, which every
+    sweep thread reads from the one shared trace object."""
     trace = synthetic_trace([0.5, 0.5], size=100)
     with pytest.raises(ValueError):
         trace.path_ids[0] = trace.path_ids[1]
-    revived = pickle.loads(pickle.dumps(trace))
-    with pytest.raises(ValueError):
-        revived.path_ids[0] = revived.path_ids[1]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])

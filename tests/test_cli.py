@@ -300,47 +300,6 @@ def test_completed_run_manifest_is_not_interrupted(capsys, tmp_path):
     assert json.loads(manifest.read_text())["interrupted"] is False
 
 
-def test_resilience_flags_reach_the_sweep(capsys, monkeypatch):
-    seen = {}
-
-    def spying_sweep(traces, **kwargs):
-        seen.update(kwargs)
-        raise SweepInterrupted(
-            partial=[], completed=0, total=0, signal_name="SIGINT"
-        )
-
-    monkeypatch.setattr("repro.cli.run_sweep", spying_sweep)
-    main(
-        [
-            "sweep",
-            "deltablue",
-            "--flow-scale",
-            "0.05",
-            "--no-cache",
-            "--task-timeout",
-            "7.5",
-            "--max-retries",
-            "4",
-        ]
-    )
-    capsys.readouterr()
-    policy = seen["resilience"]
-    assert policy.task_timeout == 7.5
-    assert policy.max_retries == 4
-
-
-def test_task_timeout_rejects_nonpositive_at_parse_time(capsys):
-    with pytest.raises(SystemExit):
-        main(["sweep", "deltablue", "--task-timeout", "0"])
-    assert "task timeout must be positive" in capsys.readouterr().err
-
-
-def test_max_retries_rejects_negative_at_parse_time(capsys):
-    with pytest.raises(SystemExit):
-        main(["sweep", "deltablue", "--max-retries", "-1"])
-    assert "max retries must be >= 0" in capsys.readouterr().err
-
-
 def test_dynamo(capsys):
     assert main(
         ["dynamo", "deltablue", "--flow-scale", "0.05", "--delays", "10"]
@@ -414,13 +373,16 @@ def test_trace_info_missing_file(capsys, tmp_path):
 
 
 def test_sweep_backend_choice_rejected_at_parse_time(capsys):
-    """The sweep has one executor: the old scheduler flags are gone."""
+    """The sweep has one executor: the old scheduler and retry flags
+    are gone."""
     for flags in (
         ["--backend", "process"],
         ["--remote", "127.0.0.1:1"],
         ["--chunk-size", "4"],
         ["--no-fallback-serial"],
         ["--explain"],
+        ["--task-timeout", "7.5"],
+        ["--max-retries", "4"],
     ):
         with pytest.raises(SystemExit):
             main(["sweep", "deltablue", *flags])

@@ -1,6 +1,4 @@
-"""PathTrace containers: arrays, masks, slicing, pickling, caches."""
-
-import pickle
+"""PathTrace containers: arrays, masks, slicing, caches."""
 
 import numpy as np
 import pytest
@@ -104,31 +102,6 @@ def test_summarize(fig1_program):
     assert summary.num_paths == 2
     assert summary.num_unique_heads == 1
     assert "fig1" in summary.render()
-
-
-def test_pickle_excludes_derived_cache():
-    """A cache-warmed trace pickles to the same bytes as a cold one.
-
-    Regression for the pool-payload bloat bug: warming freqs and the
-    occurrence index used to ship the whole derived-array cache with
-    every pickled trace.
-    """
-    cold = _two_path_trace()
-    cold_size = len(pickle.dumps(cold))
-
-    warm = _two_path_trace()
-    warm.freqs()
-    warm.occurrence_index()
-    warm.instructions_per_path()
-    warm.head_arrivals(backward_only=True)
-    warm.backward_arrival_mask()
-    assert warm._cache  # the warm-up actually populated it
-    assert len(pickle.dumps(warm)) == cold_size
-
-    # The round-tripped trace works and re-derives everything.
-    restored = pickle.loads(pickle.dumps(warm))
-    assert restored._cache == {}
-    assert np.array_equal(restored.freqs(), warm.freqs())
 
 
 def test_occurrence_index_matches_helper_and_is_cached():
