@@ -46,7 +46,6 @@ in the run manifest under that registry's prefix.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
 import os
@@ -58,6 +57,7 @@ import numpy as np
 
 from repro.experiments.sweep import SweepPoint
 from repro.obs.core import Registry
+from repro.trace.path import PathColumns
 from repro.trace.recorder import PathTrace
 
 logger = logging.getLogger(__name__)
@@ -90,6 +90,30 @@ _digest_memo: "weakref.WeakKeyDictionary[PathTrace, tuple[int, int, str]]" = (
 )
 
 
+def _ragged_rows(columns: PathColumns, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop``'s indirect targets then blocks, row by row.
+
+    Scatters the two flat columns into one ``<i8`` array: an element's
+    slot is its position in its own column plus the other column's
+    entries that precede it (all of the row's targets come before its
+    blocks).
+    """
+    target_cuts = columns.target_offsets[start : stop + 1]
+    block_cuts = columns.block_offsets[start : stop + 1]
+    targets = columns.indirect_targets[target_cuts[0] : target_cuts[-1]]
+    blocks = columns.blocks[block_cuts[0] : block_cuts[-1]]
+    out = np.empty(len(targets) + len(blocks), dtype=_DIGEST_DTYPE)
+    out[
+        np.arange(len(targets))
+        + np.repeat(block_cuts[:-1] - block_cuts[0], np.diff(target_cuts))
+    ] = targets
+    out[
+        np.arange(len(blocks))
+        + np.repeat(target_cuts[1:] - target_cuts[0], np.diff(block_cuts))
+    ] = blocks
+    return out
+
+
 def trace_digest(trace: PathTrace) -> str:
     """Stable content digest of a trace.
 
@@ -100,16 +124,19 @@ def trace_digest(trace: PathTrace) -> str:
     of the occurrence array.
 
     The table is hashed in a compact canonical encoding of every
-    :func:`repro.trace.io.path_record` field, :data:`_DIGEST_CHUNK`
-    paths at a time, so no serialization of the whole table is ever
-    held in memory.  Per chunk: an ``<i8`` matrix of the fixed-width
-    fields (start address, bit count, indirect-target and block counts,
-    instruction/branch counts, the backward-branch flag), the
-    concatenated indirect targets and blocks as ``<i8``, and the
-    histories as comma-terminated lowercase hex.  Every field is
-    coerced to a plain integer first, so a table built from numpy
-    scalars digests like one built from Python ints.  Each section is
-    framed by its byte length, which makes the encoding unambiguous.
+    :func:`repro.trace.io.path_record` field, read from the table's
+    columns (:meth:`~repro.trace.path.PathTable.columns`) and
+    :data:`_DIGEST_CHUNK` paths at a time, so no serialization of the
+    whole table is ever held in memory.  Per chunk: an ``<i8`` matrix
+    of the fixed-width fields (start address, bit count,
+    indirect-target and block counts, instruction/branch counts, the
+    backward-branch flag), each path's indirect targets then blocks
+    as ``<i8``, path after path, and the histories as comma-terminated
+    lowercase hex.  Every field is an integer column, so a table built
+    from numpy scalars digests like one built from Python ints, and a
+    table built by the extractor like one appended as columns.  Each
+    section is framed by its byte length, which makes the encoding
+    unambiguous.
 
     Memoized per trace object: the build graph and the executor both
     digest the same traces on one run (for graph state and for cache
@@ -130,39 +157,28 @@ def trace_digest(trace: PathTrace) -> str:
         hasher.update(blob)
 
     section(trace.name.encode("utf-8"))
-    paths = list(trace.table)
-    section(len(paths).to_bytes(8, "little"))
-    for start in range(0, len(paths), _DIGEST_CHUNK):
-        chunk = paths[start : start + _DIGEST_CHUNK]
-        signatures = [path.signature for path in chunk]
-        fixed = np.array(
-            [
-                (
-                    signature.start_address,
-                    signature.bit_count,
-                    len(signature.indirect_targets),
-                    len(path.blocks),
-                    path.num_instructions,
-                    path.num_cond_branches,
-                    path.num_indirect_branches,
-                    path.ends_with_backward_branch,
-                )
-                for path, signature in zip(chunk, signatures)
-            ],
-            dtype=_DIGEST_DTYPE,
-        )
-        ragged = np.fromiter(
-            itertools.chain.from_iterable(
-                itertools.chain(signature.indirect_targets, path.blocks)
-                for path, signature in zip(chunk, signatures)
-            ),
-            dtype=_DIGEST_DTYPE,
-        )
+    columns = trace.table.columns()
+    section(len(columns).to_bytes(8, "little"))
+    fixed_columns = (
+        columns.start_address,
+        columns.bit_count,
+        columns.num_targets,
+        columns.num_blocks,
+        columns.num_instructions,
+        columns.num_cond_branches,
+        columns.num_indirect_branches,
+        columns.ends_backward,
+    )
+    for start in range(0, len(columns), _DIGEST_CHUNK):
+        stop = min(start + _DIGEST_CHUNK, len(columns))
+        fixed = np.empty((stop - start, len(fixed_columns)), _DIGEST_DTYPE)
+        for position, column in enumerate(fixed_columns):
+            fixed[:, position] = column[start:stop]
         histories = "".join(
-            [f"{int(signature.history):x}," for signature in signatures]
+            [f"{h:x}," for h in columns.history[start:stop].tolist()]
         )
         section(fixed.tobytes())
-        section(ragged.tobytes())
+        section(_ragged_rows(columns, start, stop).tobytes())
         section(histories.encode("ascii"))
     ids = np.ascontiguousarray(trace.path_ids, dtype=_DIGEST_DTYPE)
     section(_DIGEST_DTYPE.str.encode("utf-8"))

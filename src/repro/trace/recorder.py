@@ -83,43 +83,33 @@ class PathTrace:
     # ------------------------------------------------------------------
     # Per-path static attribute arrays (indexed by path id)
     # ------------------------------------------------------------------
-    def _per_path(self, key: str, getter) -> np.ndarray:
-        return self.cached(
-            key,
-            lambda: np.array(
-                [getter(path) for path in self.table], dtype=np.int64
-            ),
-        )
+    def _per_path(self, key: str, column) -> np.ndarray:
+        """One of the table's columns, as it stands on first use."""
+        return self.cached(key, lambda: column(self.table.columns()))
 
     def start_uids(self) -> np.ndarray:
         """Head block uid per path id."""
-        return self._per_path("start_uids", lambda p: p.start_uid)
+        return self._per_path("start_uids", lambda c: c.start_uid)
 
     def instructions_per_path(self) -> np.ndarray:
         """Instruction count per path id (Dynamo cost model input)."""
-        return self._per_path("instr", lambda p: p.num_instructions)
+        return self._per_path("instr", lambda c: c.num_instructions)
 
     def cond_branches_per_path(self) -> np.ndarray:
         """Conditional branch count per path id (bit-tracing cost input)."""
-        return self._per_path("cond", lambda p: p.num_cond_branches)
+        return self._per_path("cond", lambda c: c.num_cond_branches)
 
     def indirect_branches_per_path(self) -> np.ndarray:
         """Indirect branch count per path id."""
-        return self._per_path("indirect", lambda p: p.num_indirect_branches)
+        return self._per_path("indirect", lambda c: c.num_indirect_branches)
 
     def blocks_per_path(self) -> np.ndarray:
         """Block count per path id."""
-        return self._per_path("blocks", lambda p: p.num_blocks)
+        return self._per_path("blocks", lambda c: c.num_blocks)
 
     def ends_backward_per_path(self) -> np.ndarray:
         """Whether each path id ends with a backward taken branch."""
-        return self.cached(
-            "ends_backward",
-            lambda: np.array(
-                [path.ends_with_backward_branch for path in self.table],
-                dtype=bool,
-            ),
-        )
+        return self._per_path("ends_backward", lambda c: c.ends_backward)
 
     # ------------------------------------------------------------------
     # Derived sequences (one entry per occurrence)

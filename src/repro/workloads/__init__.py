@@ -8,7 +8,7 @@
 
 from repro.workloads.base import Workload, load_benchmark
 from repro.workloads.generator import Phase, WorkloadConfig, WorkloadGenerator
-from repro.workloads.pathmodel import PathFactory, zipf_probabilities
+from repro.workloads.pathmodel import PathLayout, zipf_probabilities
 from repro.workloads.regions import (
     LoopRegion,
     NestedRegion,
@@ -32,7 +32,7 @@ __all__ = [
     "Group",
     "LoopRegion",
     "NestedRegion",
-    "PathFactory",
+    "PathLayout",
     "Phase",
     "RegionSpec",
     "Workload",

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.trace.path import PathTable
 from repro.trace.recorder import PathTrace
-from repro.workloads.pathmodel import PathFactory
+from repro.workloads.pathmodel import PathLayout
 from repro.workloads.regions import RegionSpec, build_region
 
 #: How many region choices to draw per RNG batch while scheduling.
@@ -95,11 +96,15 @@ class WorkloadGenerator:
         """Generate the workload's path trace (deterministic per seed)."""
         config = self.config
         rng = np.random.default_rng(config.seed)
-        factory = PathFactory()
+        # Pass 1: each region draws its block counts and registers its
+        # loops; pass 2 builds every path of the workload at once.
+        layout = PathLayout()
         regions = [
-            build_region(spec, factory, seed=config.seed * 1_000_003 + index)
+            build_region(spec, layout, seed=config.seed * 1_000_003 + index)
             for index, spec in enumerate(config.regions)
         ]
+        table = PathTable()
+        table.append_unique(layout.columns())
 
         chunks: list[np.ndarray] = []
         emitted = 0
@@ -137,7 +142,7 @@ class WorkloadGenerator:
         )
 
         ids = np.concatenate(chunks)[: config.target_flow]
-        return PathTrace(factory.table, ids, name=config.name)
+        return PathTrace(table, ids, name=config.name)
 
     def _phase_weights(
         self, base: np.ndarray, phase: Phase

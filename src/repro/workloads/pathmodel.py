@@ -3,142 +3,193 @@
 The abstract experiments of the paper depend only on the *path sequence
 statistics* of a run — how many distinct paths exist, how they share
 heads, how skewed their frequencies are — not on the instructions behind
-them.  The :class:`PathFactory` builds families of
-:class:`repro.trace.Path` objects with consistent geometry (unique block
-uids and addresses per region, plausible per-path block/instruction
-counts, distinct bit-tracing signatures) so that every downstream
-consumer (predictors, metrics, overhead models, the Dynamo simulator)
-sees exactly what it would see from an extracted trace.
+them.  :class:`PathLayout` builds families of paths with consistent
+geometry (unique block uids and addresses per loop, plausible per-path
+block/instruction counts, distinct bit-tracing signatures) so that every
+downstream consumer (predictors, metrics, overhead models, the Dynamo
+simulator) sees exactly what it would see from an extracted trace.
 
-Block-uid and address ranges are allocated per region so that heads are
+Block-uid and address ranges are allocated per loop so that heads are
 genuine "targets of backward taken branches" in the address sense: every
 synthetic path ends with a backward taken branch to the head of the next
 executing path, which is how the loop-structured programs the paper
 studies behave.
+
+Generation runs in two passes.  Regions first *register* their loops
+(:meth:`PathLayout.add_loop`: a few integers and the loop's block
+counts), which fixes every path id.  :meth:`PathLayout.columns` then
+builds every path of the workload at once, as the columns of a
+:class:`~repro.trace.path.PathTable`: a surrogate's path space runs to
+tens of thousands of paths, and no :class:`~repro.trace.path.Path`
+object is made for any of them unless a consumer asks.
+
+A loop owns a head block plus a reserved range of body blocks and has
+two kinds of path, both starting at the head and ending with a
+backward branch:
+
+* *tail* variant ``v`` with ``b`` blocks visits
+  ``head, first + (v + i) mod 2b`` for ``i < b - 1`` (``first`` is the
+  loop's first body uid); its branch history is ``v``, over
+  ``max(b - 1, bit_length(v), 1)`` bits, with ``max(b - 1, 1)``
+  conditional branches;
+* the *exit* path (the loop test falling through into the next loop's
+  latch) visits ``head, first`` and has an all-ones history one bit
+  longer than any tail uses, with one conditional branch.
+
+Distinct variants have distinct histories and distinct loops distinct
+start addresses, so every signature of a layout is unique by
+construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.trace.path import Path, PathSignature, PathTable
+from repro.trace.path import PathColumns
 
 #: Address stride between consecutive synthetic blocks.
 _BLOCK_SPACING = 4
 
+#: Signature of every exit path: all-ones history, longer than any tail.
+_EXIT_BITS = 62
+_EXIT_HISTORY = (1 << _EXIT_BITS) - 1
 
-@dataclass(frozen=True)
-class RegionGeometry:
-    """Uid/address ranges reserved for one region's blocks."""
-
-    head_uid: int
-    head_address: int
-    first_tail_uid: int
-    first_tail_address: int
+#: Blocks on an exit path (the head plus the first body block).
+_EXIT_BLOCKS = 2
 
 
-class PathFactory:
-    """Allocates uids/addresses and builds interned synthetic paths."""
+class PathLayout:
+    """The loops of one workload, and the path columns they make."""
 
-    def __init__(self, table: PathTable | None = None):
-        self.table = table if table is not None else PathTable()
-        self._next_uid = 0
-        self._next_address = 0
+    def __init__(self) -> None:
+        self._block_counts: list = []
+        self._first_variant: list[int] = []
+        self._reserved: list[int] = []
+        self._has_exit: list[bool] = []
+        self._instructions: list[int] = []
+        self._cdfs: dict[tuple[int, float], np.ndarray] = {}
+        #: Paths registered so far (the next loop's first path id).
+        self.num_paths = 0
 
-    def allocate_region(self, num_tail_blocks: int) -> RegionGeometry:
-        """Reserve a head block plus ``num_tail_blocks`` body blocks."""
-        if num_tail_blocks < 0:
-            raise WorkloadError("num_tail_blocks must be non-negative")
-        geometry = RegionGeometry(
-            head_uid=self._next_uid,
-            head_address=self._next_address,
-            first_tail_uid=self._next_uid + 1,
-            first_tail_address=self._next_address + _BLOCK_SPACING,
-        )
-        self._next_uid += 1 + num_tail_blocks
-        self._next_address += (1 + num_tail_blocks) * _BLOCK_SPACING
-        return geometry
-
-    def make_tail_path(
+    def add_loop(
         self,
-        geometry: RegionGeometry,
-        variant: int,
-        num_blocks: int,
-        instructions_per_block: int = 3,
-        cond_branches: int | None = None,
-        ends_backward: bool = True,
+        block_counts,
+        first_variant: int,
+        instructions_per_block: int,
+        exit_path: bool = True,
+        reserved_blocks: int | None = None,
     ) -> int:
-        """Build and intern one tail variant of a region's loop.
+        """Register one loop; returns the id of its first tail.
 
-        ``variant`` selects which body blocks the path visits and doubles
-        as the signature's branch history, so distinct variants have
-        distinct signatures by construction.  Returns the table id.
+        The loop has one tail per entry of ``block_counts`` (that many
+        blocks each), variants ``first_variant, first_variant + 1, …``,
+        then its exit path if ``exit_path``; they get consecutive ids.
+        The loop reserves ``reserved_blocks`` body blocks, by default
+        twice its longest tail.
         """
-        if num_blocks < 1:
+        first = self.num_paths
+        self._block_counts.append(block_counts)
+        self._first_variant.append(first_variant)
+        self._reserved.append(
+            -1 if reserved_blocks is None else reserved_blocks
+        )
+        self._has_exit.append(exit_path)
+        self._instructions.append(instructions_per_block)
+        self.num_paths += len(block_counts) + exit_path
+        return first
+
+    def tail_cdf(self, count: int, skew: float) -> np.ndarray:
+        """Normalized cumulative :func:`zipf_probabilities`, one per shape.
+
+        ``cdf.searchsorted(rng.random(n), side="right")`` draws exactly
+        the indices ``rng.choice(count, n, p=zipf_probabilities(count,
+        skew))`` draws, from the same stream: that is how
+        ``Generator.choice`` samples with ``p``, minus its per-call
+        validation and cumsum.  Loops of one workload share the arrays.
+        """
+        cdf = self._cdfs.get((count, skew))
+        if cdf is None:
+            cdf = zipf_probabilities(count, skew).cumsum()
+            cdf /= cdf[-1]
+            cdf.flags.writeable = False
+            self._cdfs[(count, skew)] = cdf
+        return cdf
+
+    def columns(self) -> PathColumns:
+        """Every registered path, in id order, built in one pass."""
+        if not self._block_counts:
+            return PathColumns.from_paths([])
+        tails_per_loop = np.array(
+            [len(counts) for counts in self._block_counts], dtype=np.int64
+        )
+        if (tails_per_loop < 1).any():
+            raise WorkloadError("every loop needs at least one tail")
+        tail_blocks = np.concatenate(self._block_counts).astype(np.int64)
+        if (tail_blocks < 1).any():
             raise WorkloadError("a path needs at least one block")
-        if cond_branches is None:
-            cond_branches = max(num_blocks - 1, 1)
-        bit_count = max(cond_branches, variant.bit_length(), 1)
-        signature = PathSignature(
-            start_address=geometry.head_address,
-            history=variant,
+
+        # Uid allocation: each loop takes its head plus its reserved
+        # body blocks, loops in registration order.
+        first_tails = np.cumsum(tails_per_loop) - tails_per_loop
+        reserved = np.array(self._reserved, dtype=np.int64)
+        reserved = np.where(
+            reserved < 0,
+            2 * np.maximum.reduceat(tail_blocks, first_tails),
+            reserved,
+        )
+        head_uid = np.cumsum(1 + reserved) - (1 + reserved)
+
+        # One row per path: the loop's tails, then its exit.
+        has_exit = np.array(self._has_exit, dtype=np.int64)
+        rows_per_loop = tails_per_loop + has_exit
+        loop = np.repeat(np.arange(len(rows_per_loop)), rows_per_loop)
+        first_rows = np.cumsum(rows_per_loop) - rows_per_loop
+        rank = np.arange(len(loop)) - first_rows[loop]
+        is_exit = rank == tails_per_loop[loop]
+        first_variant = np.array(self._first_variant, dtype=np.int64)
+        variant = np.where(is_exit, 0, first_variant[loop] + rank)
+        num_blocks = np.full(len(loop), _EXIT_BLOCKS, dtype=np.int64)
+        num_blocks[~is_exit] = tail_blocks
+        cond = np.where(is_exit, 1, np.maximum(num_blocks - 1, 1))
+        # bit_length(v) is frexp's exponent (exact: variants stay far
+        # below 2**53).
+        variant_bits = np.frexp(variant.astype(np.float64))[1]
+        bit_count = np.where(
+            is_exit,
+            _EXIT_BITS,
+            np.maximum(np.maximum(cond, variant_bits), 1),
+        )
+
+        # Blocks: the head, then body blocks (the exit is variant 0).
+        block_offsets = np.zeros(len(loop) + 1, dtype=np.int64)
+        np.cumsum(num_blocks, out=block_offsets[1:])
+        owner = np.repeat(np.arange(len(loop)), num_blocks)
+        step = np.arange(block_offsets[-1]) - block_offsets[owner]
+        owner_loop = loop[owner]
+        body = (variant[owner] + step - 1) % (2 * num_blocks[owner])
+        blocks = np.where(
+            step == 0,
+            head_uid[owner_loop],
+            head_uid[owner_loop] + 1 + body,
+        )
+
+        start_uid = head_uid[loop]
+        return PathColumns(
+            start_address=start_uid * _BLOCK_SPACING,
+            history=np.where(is_exit, _EXIT_HISTORY, variant),
             bit_count=bit_count,
-            indirect_targets=(),
+            start_uid=start_uid,
+            num_instructions=num_blocks
+            * np.array(self._instructions, dtype=np.int64)[loop],
+            num_cond_branches=cond,
+            num_indirect_branches=np.zeros(len(loop), dtype=np.int64),
+            ends_backward=np.ones(len(loop), dtype=bool),
+            block_offsets=block_offsets,
+            blocks=blocks,
+            target_offsets=np.zeros(len(loop) + 1, dtype=np.int64),
+            indirect_targets=np.zeros(0, dtype=np.int64),
         )
-        blocks = [geometry.head_uid]
-        for offset in range(num_blocks - 1):
-            blocks.append(
-                geometry.first_tail_uid + (variant + offset) % max(
-                    num_blocks * 2, 1
-                )
-            )
-        path = Path(
-            signature=signature,
-            blocks=tuple(blocks),
-            start_uid=geometry.head_uid,
-            num_instructions=num_blocks * instructions_per_block,
-            num_cond_branches=cond_branches,
-            num_indirect_branches=0,
-            ends_with_backward_branch=ends_backward,
-        )
-        return self.table.intern(path)
-
-    def make_exit_path(
-        self,
-        geometry: RegionGeometry,
-        num_blocks: int = 2,
-        instructions_per_block: int = 3,
-    ) -> int:
-        """Build the region's loop-exit/transition path.
-
-        The exit path starts at the region head (the loop test falls
-        through) and runs to the next backward branch — in the region
-        chain that is the following region's latch, so it still ends
-        backward.  Its signature is distinguished from tail variants by
-        an all-ones history one bit longer than any tail uses.
-        """
-        signature = PathSignature(
-            start_address=geometry.head_address,
-            history=(1 << 62) - 1,
-            bit_count=62,
-            indirect_targets=(),
-        )
-        blocks = [geometry.head_uid]
-        for offset in range(num_blocks - 1):
-            blocks.append(geometry.first_tail_uid + offset)
-        path = Path(
-            signature=signature,
-            blocks=tuple(blocks),
-            start_uid=geometry.head_uid,
-            num_instructions=num_blocks * instructions_per_block,
-            num_cond_branches=1,
-            num_indirect_branches=0,
-            ends_with_backward_branch=True,
-        )
-        return self.table.intern(path)
 
 
 def zipf_probabilities(count: int, skew: float) -> np.ndarray:

@@ -14,9 +14,11 @@ head/path ratios observed across the paper's benchmark suite (Table 2):
   iteration path, the inner exit path).  Nests raise the head/path ratio
   above 1/2, which compress- and vortex-like programs need.
 
-Every region draws its per-visit iteration counts and tail choices from
-its own seeded RNG, so workloads are reproducible and regions are
-independent.
+Every region draws its block counts, per-visit iteration counts and
+tail choices from its own seeded RNG, so workloads are reproducible and
+regions are independent.  Constructing a region only draws its block
+counts and registers its loops with a :class:`PathLayout`; the paths
+themselves are built for the whole workload at once, afterwards.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.workloads.pathmodel import PathFactory, zipf_probabilities
+from repro.workloads.pathmodel import PathLayout
 
 
 @dataclass(frozen=True)
@@ -94,40 +96,33 @@ class RegionSpec:
 
 
 class LoopRegion:
-    """Runtime emitter for a single loop with ``J`` tail variants."""
+    """Runtime emitter for a single loop with ``J`` tail variants.
 
-    def __init__(self, spec: RegionSpec, factory: PathFactory, seed: int):
+    The tails are path ids ``first … first + J - 1`` (variant ``j`` is
+    id ``first + j``), the exit path is ``first + J``.
+    """
+
+    def __init__(self, spec: RegionSpec, layout: PathLayout, seed: int):
         self.spec = spec
         self._rng = np.random.default_rng(seed)
         block_counts = self._rng.integers(
             spec.blocks_min, spec.blocks_max + 1, size=spec.num_tails
         )
-        geometry = factory.allocate_region(
-            num_tail_blocks=2 * int(block_counts.max())
+        self._first = layout.add_loop(
+            block_counts,
+            first_variant=0,
+            instructions_per_block=spec.instr_per_block,
         )
-        self.head_uid = geometry.head_uid
-        self.tail_ids = np.array(
-            [
-                factory.make_tail_path(
-                    geometry,
-                    variant=j,
-                    num_blocks=int(block_counts[j]),
-                    instructions_per_block=spec.instr_per_block,
-                )
-                for j in range(spec.num_tails)
-            ],
-            dtype=np.int64,
-        )
-        self.exit_id = factory.make_exit_path(
-            geometry, instructions_per_block=spec.instr_per_block
-        )
-        self.tail_probs = zipf_probabilities(spec.num_tails, spec.tail_skew)
-        self._visited = False
+        self.exit_id = self._first + spec.num_tails
+        self._cdf = layout.tail_cdf(spec.num_tails, spec.tail_skew)
+        self._iters = max(spec.iters_mean - 1.0, 0.0)
+        #: The first visit walks every tail once before sampling.
+        self._sweep_pending = True
 
     @property
-    def head_uids(self) -> list[int]:
-        """The heads this region owns (one for a plain loop)."""
-        return [self.head_uid]
+    def tail_ids(self) -> np.ndarray:
+        """Path ids of the tail variants, variant order."""
+        return np.arange(self._first, self.exit_id, dtype=np.int64)
 
     def emit(self) -> np.ndarray:
         """Path ids for one visit: iterations then the exit path.
@@ -135,65 +130,53 @@ class LoopRegion:
         The first visit additionally walks every tail once (a coverage
         sweep), modelling the warm-up pass real loops make over their
         input-dependent variants and pinning the region's dynamic path
-        count to its design value.
+        count to its design value.  Tails are drawn by inverse CDF from
+        the region's stream exactly as ``rng.choice(tail_ids, p=…)``
+        would draw them.
         """
-        spec = self.spec
-        iterations = 1 + self._rng.poisson(max(spec.iters_mean - 1.0, 0.0))
-        sampled = self._rng.choice(
-            self.tail_ids, size=int(iterations), p=self.tail_probs
+        rng = self._rng
+        iterations = 1 + rng.poisson(self._iters)
+        sampled = self._cdf.searchsorted(
+            rng.random(int(iterations)), side="right"
         )
-        parts = [sampled]
-        if not self._visited:
-            self._visited = True
-            parts.insert(0, self.tail_ids.copy())
-        parts.append(np.array([self.exit_id], dtype=np.int64))
+        parts = [sampled + self._first, [self.exit_id]]
+        if self._sweep_pending:
+            self._sweep_pending = False
+            parts.insert(0, self.tail_ids)
         return np.concatenate(parts)
 
 
 class NestedRegion:
-    """Runtime emitter for ``D`` perfectly nested loops."""
+    """Runtime emitter for ``D`` perfectly nested loops.
 
-    def __init__(self, spec: RegionSpec, factory: PathFactory, seed: int):
+    Path ids: one descend path per outer level (``D - 1`` consecutive
+    ids, outermost first), then the inner loop's tail and exit.
+    """
+
+    def __init__(self, spec: RegionSpec, layout: PathLayout, seed: int):
         self.spec = spec
         self._rng = np.random.default_rng(seed)
-        depth = spec.depth
-
-        self._descend_ids: list[int] = []
-        self._head_uids: list[int] = []
-        for level in range(depth - 1):
-            geometry = factory.allocate_region(num_tail_blocks=8)
-            self._head_uids.append(geometry.head_uid)
-            # The descend path: this level's head down into the next
-            # level's loop, ending at the inner latch (backward).
-            self._descend_ids.append(
-                factory.make_tail_path(
-                    geometry,
-                    variant=1,
-                    num_blocks=3,
-                    instructions_per_block=spec.instr_per_block,
-                )
+        # The descend path: each outer level's head down into the next
+        # level's loop, ending at the inner latch (backward).
+        first = layout.num_paths
+        for _ in range(spec.depth - 1):
+            layout.add_loop(
+                [3],
+                first_variant=1,
+                instructions_per_block=spec.instr_per_block,
+                exit_path=False,
+                reserved_blocks=8,
             )
-
         inner_blocks = int(
             self._rng.integers(spec.blocks_min, spec.blocks_max + 1)
         )
-        geometry = factory.allocate_region(num_tail_blocks=2 * inner_blocks)
-        self._head_uids.append(geometry.head_uid)
-        self.inner_tail_id = factory.make_tail_path(
-            geometry,
-            variant=1,
-            num_blocks=inner_blocks,
+        self.inner_tail_id = layout.add_loop(
+            [inner_blocks],
+            first_variant=1,
             instructions_per_block=spec.instr_per_block,
         )
-        self.inner_exit_id = factory.make_exit_path(
-            geometry, instructions_per_block=spec.instr_per_block
-        )
-        self._visited = False
-
-    @property
-    def head_uids(self) -> list[int]:
-        """All nest heads, outermost first."""
-        return list(self._head_uids)
+        self.inner_exit_id = self.inner_tail_id + 1
+        self._descend = np.arange(first, self.inner_tail_id, dtype=np.int64)
 
     def emit(self) -> np.ndarray:
         """Path ids for one visit.
@@ -204,22 +187,18 @@ class NestedRegion:
         spec = self.spec
         outer = 1 + self._rng.poisson(max(spec.outer_iters_mean - 1.0, 0.0))
         chunks: list[np.ndarray] = []
-        descend = np.array(self._descend_ids, dtype=np.int64)
         for _ in range(int(outer)):
             inner = 1 + self._rng.poisson(max(spec.iters_mean - 1.0, 0.0))
-            chunks.append(descend)
+            chunks.append(self._descend)
             chunks.append(
                 np.full(int(inner), self.inner_tail_id, dtype=np.int64)
             )
-            chunks.append(
-                np.array([self.inner_exit_id], dtype=np.int64)
-            )
-        self._visited = True
+            chunks.append(np.array([self.inner_exit_id], dtype=np.int64))
         return np.concatenate(chunks)
 
 
-def build_region(spec: RegionSpec, factory: PathFactory, seed: int):
+def build_region(spec: RegionSpec, layout: PathLayout, seed: int):
     """Instantiate the runtime emitter for ``spec``."""
     if spec.kind == "nest":
-        return NestedRegion(spec, factory, seed)
-    return LoopRegion(spec, factory, seed)
+        return NestedRegion(spec, layout, seed)
+    return LoopRegion(spec, layout, seed)

@@ -17,7 +17,7 @@ from repro.workloads import (
     load_benchmark,
     zipf_probabilities,
 )
-from repro.workloads.pathmodel import PathFactory
+from repro.workloads.pathmodel import PathLayout
 from repro.workloads.regions import LoopRegion, NestedRegion, build_region
 
 
@@ -43,33 +43,37 @@ def test_region_spec_counts():
 
 
 def test_loop_region_emits_designed_paths():
-    factory = PathFactory()
+    layout = PathLayout()
     spec = RegionSpec(kind="loop", num_tails=4, iters_mean=30)
-    region = LoopRegion(spec, factory, seed=1)
+    region = LoopRegion(spec, layout, seed=1)
     chunk = region.emit()
     # First visit covers every tail once plus the exit path.
     assert set(region.tail_ids).issubset(set(chunk))
     assert chunk[-1] == region.exit_id
-    assert len(factory.table) == 5
+    assert layout.num_paths == 5
+    columns = layout.columns()
+    assert len(columns) == 5
+    assert len(set(columns.start_uid.tolist())) == 1  # one head
 
 
 def test_nested_region_structure():
-    factory = PathFactory()
+    layout = PathLayout()
     spec = RegionSpec(kind="nest", depth=3, iters_mean=10, outer_iters_mean=2)
-    region = NestedRegion(spec, factory, seed=2)
+    region = NestedRegion(spec, layout, seed=2)
     chunk = region.emit()
-    assert len(region.head_uids) == 3
-    assert len(factory.table) == 4  # 2 descend + inner + exit
+    columns = layout.columns()
+    assert len(set(columns.start_uid.tolist())) == 3  # one head per level
+    assert len(columns) == 4  # 2 descend + inner + exit
     assert region.inner_exit_id in chunk
 
 
 def test_build_region_dispatches():
-    factory = PathFactory()
+    layout = PathLayout()
     assert isinstance(
-        build_region(RegionSpec(kind="loop"), factory, 0), LoopRegion
+        build_region(RegionSpec(kind="loop"), layout, 0), LoopRegion
     )
     assert isinstance(
-        build_region(RegionSpec(kind="nest"), factory, 0), NestedRegion
+        build_region(RegionSpec(kind="nest"), layout, 0), NestedRegion
     )
 
 
