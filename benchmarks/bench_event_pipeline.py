@@ -1,11 +1,13 @@
 """Times the branch-event pipeline: object stream vs columnar batches.
 
 The §4 overhead study replays one generated-program run through every
-profiler.  Historically that stream moved as one Python object per
-control transfer; the columnar pipeline moves it as numpy-column
-batches end to end — ``CFGWalker.walk_batched`` fills the buffers,
+profiler.  Production moves that stream as numpy-column batches end to
+end — ``CFGWalker.walk_batched`` fills the buffers,
 ``record_path_trace`` segments them with vectorized cut-finding, and
-the profilers consume them through their batch paths.
+the profilers consume them through their batch paths.  The object leg
+is the scalar oracle in ``tests/trace/event_oracle.py``: one Python
+object per control transfer, a per-event segmenter and per-event
+profilers.
 
 This bench runs the same workload both ways, asserts the results are
 bit-identical (equal trace digests and exactly equal overhead rows),
@@ -32,6 +34,7 @@ from repro.trace import (
     TripCountOracle,
     record_path_trace,
 )
+from tests.trace import event_oracle
 
 #: Full-scale event budget; matches the §4 overhead study's stream.
 FULL_EVENTS = 400_000
@@ -50,38 +53,39 @@ SEED = 25
 TRIPS = 25
 
 
-def _make_walker() -> tuple:
+def _make_oracle() -> tuple:
     program = generate_program(seed=SEED, num_procedures=4)
     trip_counts = {}
     for name in program.procedures:
         for header in procedure_loops(program, name).headers:
             trip_counts[header] = TRIPS
     oracle = TripCountOracle(RandomOracle(5, default_bias=0.5), trip_counts)
-    return program, CFGWalker(program, oracle)
+    return program, oracle
 
 
 def test_event_pipeline(results_dir):
     max_events = max(int(FULL_EVENTS * BENCH_FLOW_SCALE), MIN_EVENTS)
 
-    # Object pipeline: one BranchEvent per transfer, scalar extractor
-    # and scalar profilers.
-    program, walker = _make_walker()
+    # Object pipeline: the oracle's walker, one BranchEvent per
+    # transfer, its per-event extractor and per-event profilers.
+    program, oracle = _make_oracle()
     start = time.perf_counter()
     events = []
-    for event in walker.walk():
+    for event in event_oracle.walk(program, oracle):
         events.append(event)
         if len(events) >= max_events:
             break
     object_gen_s = time.perf_counter() - start
     start = time.perf_counter()
-    object_trace = record_path_trace(program, iter(events))
-    object_rows = compare_schemes(program, events)
+    object_trace = event_oracle.record(program, events)
+    object_rows = event_oracle.compare_schemes(program, events)
     object_s = time.perf_counter() - start
 
     # Columnar pipeline: batched walker, vectorized extractor, batched
     # profilers — with live metrics attached.
     registry = Registry()
-    program, walker = _make_walker()
+    program, oracle = _make_oracle()
+    walker = CFGWalker(program, oracle)
     start = time.perf_counter()
     batches = list(
         walker.walk_batched(

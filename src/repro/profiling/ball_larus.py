@@ -22,7 +22,7 @@ from repro.cfg.spanning_tree import BallLarusNumbering, number_program
 from repro.profiling.base import Profiler, ProfileReport
 from repro.profiling.counters import CounterTable
 from repro.trace.batch import CODE_CALL, CODE_RETURN, EventBatch
-from repro.trace.events import HALT_DST, BranchEvent
+from repro.trace.events import HALT_DST
 
 
 class BallLarusProfiler(Profiler):
@@ -96,49 +96,6 @@ class BallLarusProfiler(Profiler):
             )
             self._stack[-1][2] = restart_uid
 
-    # ------------------------------------------------------------------
-    def observe(self, event: BranchEvent) -> None:
-        if not self._started:
-            self._started = True
-            self._enter_procedure(event.src)
-
-        if event.dst == HALT_DST:
-            self._end_path(event.src, None)
-            self._stack.clear()
-            return
-
-        src_block = self._program.block_by_uid(event.src)
-        term_kind = src_block.terminator.kind
-
-        if event.is_call:
-            # The caller's path pauses across the call (Ball–Larus paths
-            # are intraprocedural); a fresh activation begins.
-            self._enter_procedure(event.dst)
-            return
-        if event.is_return or term_kind is BranchKind.RETURN:
-            # The returning activation's path ends at the return.
-            self._end_path(event.src, None)
-            if self._stack:
-                self._stack.pop()
-            if self._stack:
-                proc_name, register, current = self._stack[-1]
-                self._stack[-1][1] = self._apply(
-                    proc_name, current, event.dst, register
-                )
-                self._stack[-1][2] = event.dst
-            return
-        if event.backward:
-            # Forward paths end at backward branches; the branch target
-            # starts the next path of the same activation.
-            self._end_path(event.src, event.dst)
-            return
-
-        proc_name, register, _ = self._stack[-1]
-        self._stack[-1][1] = self._apply(
-            proc_name, event.src, event.dst, register
-        )
-        self._stack[-1][2] = event.dst
-
     def _edge_tables(
         self, codes: np.ndarray, stride: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -197,15 +154,16 @@ class BallLarusProfiler(Profiler):
         return self._virtual_tables
 
     def observe_batch(self, batch: EventBatch) -> None:
-        """Batch path: vectorized activation spans, scalar stack events.
+        """Vectorized activation spans, one Python step per stack event.
 
         Only halt/call/return events change the activation stack; the
-        Python loop visits just those.  Everything in between — chord
-        accumulation over plain edges and the backward-branch path ends
-        of the top activation — reduces to prefix-sum differences plus
-        dense virtual-entry/exit lookups, with path counts bumped from
-        a per-span ``np.unique``.  The resulting profile is identical
-        to the scalar one.
+        Python loop visits just those.  A call pauses the caller's path
+        and opens a fresh activation; a return ends the returning
+        activation's path.  Everything in between — chord accumulation
+        over plain edges and the backward-branch path ends of the top
+        activation — reduces to prefix-sum differences plus dense
+        virtual-entry/exit lookups, with path counts bumped from a
+        per-span ``np.unique``.
         """
         n = len(batch)
         if n == 0:

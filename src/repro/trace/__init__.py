@@ -2,9 +2,12 @@
 
 The pipeline is::
 
-    Program  --walker/ISA-->  BranchEvent stream
-             --PathExtractor-->  PathOccurrence stream
+    Program  --walker/ISA-->  EventBatch stream (numpy columns)
+             --PathExtractor-->  path ids (one per occurrence)
              --record_path_trace-->  PathTrace (ids + PathTable)
+
+:class:`EventBatch` is the only form a branch stream takes; every
+producer emits it and every consumer reads its columns.
 
 Workload surrogates may synthesize a :class:`PathTrace` directly from a
 stochastic path model; everything downstream is agnostic to the origin.
@@ -12,13 +15,8 @@ stochastic path model; everything downstream is agnostic to the origin.
 
 from repro.trace.batch import EventBatch, EventBatchBuilder
 from repro.trace.columnar import find_cuts
-from repro.trace.events import HALT_DST, BranchEvent, halt_event
-from repro.trace.extractor import (
-    PathExtractor,
-    PathOccurrence,
-    PathStream,
-    extract_paths,
-)
+from repro.trace.events import HALT_DST
+from repro.trace.extractor import PathExtractor, PathStream
 from repro.trace.io import load_trace, save_trace
 from repro.trace.path import Path, PathSignature, PathTable, SignatureRegister
 from repro.trace.recorder import PathTrace, record_path_trace
@@ -35,14 +33,12 @@ from repro.trace.walker import (
 __all__ = [
     "HALT_DST",
     "BlockRandomOracle",
-    "BranchEvent",
     "BranchOracle",
     "CFGWalker",
     "EventBatch",
     "EventBatchBuilder",
     "Path",
     "PathExtractor",
-    "PathOccurrence",
     "PathSignature",
     "PathStream",
     "PathTable",
@@ -52,9 +48,7 @@ __all__ = [
     "SignatureRegister",
     "TraceSummary",
     "TripCountOracle",
-    "extract_paths",
     "find_cuts",
-    "halt_event",
     "load_trace",
     "save_trace",
     "record_path_trace",

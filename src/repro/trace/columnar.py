@@ -1,23 +1,22 @@
 """Vectorized segmentation of columnar event streams.
 
 :func:`find_cuts` locates every path-ending event in an
-:class:`~repro.trace.batch.EventBatch` using the same rules as the
-scalar :class:`~repro.trace.extractor.PathExtractor` (paper §3):
+:class:`~repro.trace.batch.EventBatch` by the paper's §3 path rules:
 
 * **hard cuts** — backward taken transfers and the halt event — are a
   single mask;
 * **return cuts** — a forward return closing an in-path forward call —
-  follow from the positions of forward calls and forward returns: the
-  extractor's ``open_calls`` counter never decrements within a segment,
-  so the first forward return after the first forward call *is* the cut;
+  follow from the positions of forward calls and forward returns: a
+  segment's count of open calls never decrements within it, so the
+  first forward return after the first forward call *is* the cut;
 * **max-length cuts** fall at a fixed offset from the segment start.
 
 Most segments end at a hard cut with neither a length overflow nor a
 call/return pair inside, so the implementation classifies all
 hard-to-hard regions vectorized and only walks the rare "complex"
-regions with a chained scan.  The cut list drives both the batched path
-extractor and the batched bit-tracing profiler, which is what keeps the
-two in exact agreement (they already agree scalar-to-scalar).
+regions with a chained scan.  The cut list drives both the path
+extractor and the bit-tracing profiler, which is what keeps the two in
+exact agreement.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ def find_cuts(
     """Indices of every segment-ending event, ascending.
 
     The columns must already be truncated at the first halt event (the
-    scalar extractor stops consuming there).  A segment starting right
+    stream ends there).  A segment starting right
     after cut ``p`` (or at ``p = -1`` for the stream head) ends at the
     smallest index among: the next hard cut (backward or halt), the
     first forward return preceded by a forward call within the segment,

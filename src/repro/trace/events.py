@@ -1,73 +1,17 @@
 """Branch events: the raw unit of an execution trace.
 
 A program execution is viewed as the sequence of its control transfers.
-Each :class:`BranchEvent` records one transfer between two basic blocks,
-together with the classification the path extractor needs: the edge kind
-(taken/fall-through/jump/indirect/call/return) and whether the transfer is
-*backward* in the address space.  Fall-through "transfers" of conditional
-branches are explicit events (they carry the 0 history bit); straight-line
-execution inside a block produces no events.
+Each transfer is one row of an :class:`~repro.trace.batch.EventBatch`:
+the source and destination block, the edge kind the path extractor
+needs (taken/fall-through/jump/indirect/call/return) and whether the
+transfer is *backward* in the address space.  Fall-through "transfers"
+of conditional branches are explicit events (they carry the 0 history
+bit); straight-line execution inside a block produces no events.  A
+halting program ends its stream with one event whose destination is
+:data:`HALT_DST`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.cfg.edge import EdgeKind
-
-
-@dataclass(frozen=True, slots=True)
-class BranchEvent:
-    """One dynamic control transfer.
-
-    Attributes
-    ----------
-    src:
-        Uid of the block whose terminator executed.
-    dst:
-        Uid of the block control transferred to (``-1`` for HALT).
-    kind:
-        Edge classification; drives history bits and call accounting.
-    backward:
-        Whether the transfer is a *backward taken branch* in the paper's
-        sense: the target address does not exceed the branch instruction's
-        address.  Fall-through transfers are never backward.
-    """
-
-    src: int
-    dst: int
-    kind: EdgeKind
-    backward: bool
-
-    @property
-    def history_bit(self) -> int | None:
-        """The bit-tracing history bit: 1 taken, 0 fall-through, else None."""
-        if self.kind is EdgeKind.TAKEN:
-            return 1
-        if self.kind is EdgeKind.FALLTHROUGH:
-            return 0
-        return None
-
-    @property
-    def is_indirect(self) -> bool:
-        """Whether the transfer's target was computed at run time."""
-        return self.kind is EdgeKind.INDIRECT
-
-    @property
-    def is_call(self) -> bool:
-        """Whether the transfer enters a procedure."""
-        return self.kind is EdgeKind.CALL
-
-    @property
-    def is_return(self) -> bool:
-        """Whether the transfer leaves a procedure."""
-        return self.kind is EdgeKind.RETURN
-
-
 #: Sentinel destination uid used by HALT events.
 HALT_DST = -1
-
-
-def halt_event(src: int) -> BranchEvent:
-    """The synthetic event ending a trace when the program halts."""
-    return BranchEvent(src=src, dst=HALT_DST, kind=EdgeKind.JUMP, backward=False)

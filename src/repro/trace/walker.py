@@ -4,8 +4,9 @@ The walker is the bridge between static programs and dynamic traces when
 no real ISA-level code exists: it executes a :class:`repro.cfg.Program`
 block by block, asking a :class:`BranchOracle` to resolve every
 conditional, indirect and call decision, and emits the resulting
-:class:`BranchEvent` stream.  Oracles are deterministic given their seed,
-so every trace in the test-suite and the experiments is reproducible.
+branch-event stream as :class:`~repro.trace.batch.EventBatch` columns.
+Oracles are deterministic given their seed, so every trace in the
+test-suite and the experiments is reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Protocol
 import numpy as np
 
 from repro.cfg.block import BasicBlock, BranchKind
-from repro.cfg.edge import EdgeKind
 from repro.cfg.program import Program
 from repro.errors import MachineLimitExceeded, TraceError
 from repro.obs.core import Registry, get_registry
@@ -34,7 +34,7 @@ from repro.trace.batch import (
     EventBatch,
     EventBatchBuilder,
 )
-from repro.trace.events import HALT_DST, BranchEvent, halt_event
+from repro.trace.events import HALT_DST
 
 
 class BranchOracle(Protocol):
@@ -79,10 +79,10 @@ class BlockRandomOracle:
     determinism) but sources randomness from a numpy generator refilled
     ``block_size`` draws at a time — the per-decision cost is one array
     read instead of a ``random.Random`` call.  Decisions depend only on
-    the order they are requested in, so the same oracle instance drives
-    :meth:`CFGWalker.walk` and :meth:`CFGWalker.walk_batched` to the
-    exact same trace.  (The stream differs from ``RandomOracle`` with
-    the same seed: the underlying generators differ.)
+    the order they are requested in, so two walks under equally seeded
+    oracles give the exact same trace.  (The stream differs from
+    ``RandomOracle`` with the same seed: the underlying generators
+    differ.)
     """
 
     def __init__(
@@ -194,9 +194,9 @@ class ScriptedOracle:
 class _TerminatorTables:
     """Dense per-uid terminator data for the batched walk loop.
 
-    Everything :meth:`CFGWalker._step` recomputes per event — edge
-    kinds, static targets, backwardness — resolved once per program
-    into flat lists indexed by block uid.
+    Everything a terminator's execution needs — edge kinds, static
+    targets, backwardness — resolved once per program into flat lists
+    indexed by block uid.
     """
 
     kind: list[BranchKind]
@@ -220,35 +220,6 @@ class CFGWalker:
         self._oracle = oracle
         self._tables: _TerminatorTables | None = None
 
-    def walk(self, max_events: int | None = None) -> Iterator[BranchEvent]:
-        """Yield events until HALT (inclusive) or ``max_events``.
-
-        A return from the entry procedure with an empty call stack is
-        treated as program termination (a halt event is emitted).
-        Raises :class:`MachineLimitExceeded` when the budget runs out
-        before the program halts.
-        """
-        program = self._program
-        block = program.entry_block
-        call_stack: list[int] = []
-        emitted = 0
-
-        def budget_ok() -> bool:
-            return max_events is None or emitted < max_events
-
-        while True:
-            if not budget_ok():
-                raise MachineLimitExceeded(emitted)
-            event, next_uid = self._step(block, call_stack)
-            emitted += 1
-            yield event
-            if next_uid is None:
-                return
-            block = program.block_by_uid(next_uid)
-
-    # ------------------------------------------------------------------
-    # Columnar (batched) walking
-    # ------------------------------------------------------------------
     def walk_batched(
         self,
         max_events: int | None = None,
@@ -256,19 +227,19 @@ class CFGWalker:
         truncate: bool = False,
         obs: Registry | None = None,
     ) -> Iterator[EventBatch]:
-        """Yield the :meth:`walk` event stream as columnar batches.
+        """Yield events until HALT (inclusive) or ``max_events``.
 
-        Event-for-event identical to :meth:`walk` under the same oracle
-        (oracle decisions are requested in the same order), but the hot
-        loop appends four scalars to flat buffers instead of building a
-        :class:`BranchEvent` per transfer, with per-block terminator
-        data resolved once up front.
+        Events arrive as columnar batches of at most ``batch_size``
+        rows; the hot loop appends four scalars per transfer to flat
+        buffers, with per-block terminator data resolved once up front.
+        A return from the entry procedure with an empty call stack is
+        treated as program termination (a halt event is emitted).
 
-        ``truncate=True`` ends the stream cleanly at ``max_events``
-        (like ``islice`` over :meth:`walk`) instead of raising
-        :class:`MachineLimitExceeded`.  ``obs`` publishes ``tracegen.*``
-        instruments: events and batches produced, generation time, and
-        events/second.
+        When the budget runs out before the program halts the walk
+        raises :class:`MachineLimitExceeded`, or with ``truncate=True``
+        ends the stream cleanly after ``max_events`` events.  ``obs``
+        publishes ``tracegen.*`` instruments: events and batches
+        produced, generation time, and events/second.
         """
         if batch_size < 1:
             raise TraceError("batch_size must be positive")
@@ -431,50 +402,3 @@ class CFGWalker:
                 )
         self._tables = tables
         return tables
-
-    def _step(
-        self, block: BasicBlock, call_stack: list[int]
-    ) -> tuple[BranchEvent, int | None]:
-        """Execute one terminator; return (event, next block uid or None)."""
-        program = self._program
-        term = block.terminator
-        src_addr = block.branch_address
-
-        def make(dst_uid: int, kind: EdgeKind) -> tuple[BranchEvent, int]:
-            dst = program.block_by_uid(dst_uid)
-            backward = (
-                kind not in (EdgeKind.FALLTHROUGH, EdgeKind.STRAIGHT)
-                and dst.address <= src_addr
-            )
-            return (
-                BranchEvent(
-                    src=block.uid, dst=dst_uid, kind=kind, backward=backward
-                ),
-                dst_uid,
-            )
-
-        if term.kind is BranchKind.COND:
-            if self._oracle.decide_cond(block):
-                return make(block.taken_uid, EdgeKind.TAKEN)
-            return make(block.fallthrough_uid, EdgeKind.FALLTHROUGH)
-        if term.kind is BranchKind.JUMP:
-            return make(block.taken_uid, EdgeKind.JUMP)
-        if term.kind is BranchKind.INDIRECT:
-            index = self._oracle.decide_multiway(block, len(block.target_uids))
-            return make(block.target_uids[index], EdgeKind.INDIRECT)
-        if term.kind is BranchKind.CALL:
-            call_stack.append(block.fallthrough_uid)
-            return make(block.taken_uid, EdgeKind.CALL)
-        if term.kind is BranchKind.ICALL:
-            index = self._oracle.decide_multiway(block, len(block.target_uids))
-            call_stack.append(block.fallthrough_uid)
-            return make(block.target_uids[index], EdgeKind.CALL)
-        if term.kind is BranchKind.RETURN:
-            if not call_stack:
-                return halt_event(block.uid), None
-            return make(call_stack.pop(), EdgeKind.RETURN)
-        if term.kind is BranchKind.FALLTHROUGH:
-            return make(block.fallthrough_uid, EdgeKind.STRAIGHT)
-        if term.kind is BranchKind.HALT:
-            return halt_event(block.uid), None
-        raise TraceError(f"unknown terminator kind {term.kind!r}")

@@ -1,10 +1,10 @@
-"""Every profiler's batch path must equal its scalar path exactly.
+"""Every profiler's report must equal its per-event oracle's exactly.
 
 ``compare_schemes`` and the §4 cost tables are only trustworthy if the
 vectorized ``observe_batch`` implementations produce byte-for-byte the
-reports the scalar ``observe`` loop does — same frequencies, same
-counter space, same operation counts — for any chunking of the stream,
-and even when scalar and columnar consumption are mixed mid-stream.
+reports a per-event simulation does (the scalar profilers in
+:mod:`tests.trace.event_oracle`) — same frequencies, same counter
+space, same operation counts — for any chunking of the stream.
 """
 
 import pytest
@@ -19,39 +19,62 @@ from repro.profiling import (
     compare_schemes,
 )
 from repro.profiling.overhead import HeadCounterProfiler
-from repro.trace import (
-    CFGWalker,
-    EventBatch,
-    RandomOracle,
-    TripCountOracle,
-)
+from repro.trace import RandomOracle, TripCountOracle
+from tests.conftest import walk_events
+from tests.trace import event_oracle
 
+#: name -> (production profiler factory, oracle profiler factory).
 PROFILER_FACTORIES = {
-    "bit-tracing": lambda program: BitTracingProfiler(program),
-    "bit-tracing-short": lambda program: BitTracingProfiler(
-        program, max_blocks=7
+    "bit-tracing": (
+        lambda program: BitTracingProfiler(program),
+        lambda program: event_oracle.BitTracing(program),
     ),
-    "ball-larus": lambda program: BallLarusProfiler(program),
-    "kpaths-inter": lambda program: KBoundedPathProfiler(k=8),
-    "kpaths-intra": lambda program: KBoundedPathProfiler(
-        k=3, intraprocedural=True
+    "bit-tracing-short": (
+        lambda program: BitTracingProfiler(program, max_blocks=7),
+        lambda program: event_oracle.BitTracing(program, max_blocks=7),
     ),
-    "edge": lambda program: EdgeProfiler(),
-    "block": lambda program: BlockProfiler(
-        entry_uid=program.entry_block.uid
+    "ball-larus": (
+        lambda program: BallLarusProfiler(program),
+        lambda program: event_oracle.BallLarus(program),
     ),
-    "net-heads": lambda program: HeadCounterProfiler(),
+    "kpaths-inter": (
+        lambda program: KBoundedPathProfiler(k=8, intraprocedural=False),
+        lambda program: event_oracle.KBounded(k=8, intraprocedural=False),
+    ),
+    "kpaths-intra": (
+        lambda program: KBoundedPathProfiler(k=3, intraprocedural=True),
+        lambda program: event_oracle.KBounded(k=3, intraprocedural=True),
+    ),
+    "edge": (
+        lambda program: EdgeProfiler(),
+        lambda program: event_oracle.Edge(),
+    ),
+    "block": (
+        lambda program: BlockProfiler(entry_uid=program.entry_block.uid),
+        lambda program: event_oracle.Block(entry_uid=program.entry_block.uid),
+    ),
+    "net-heads": (
+        lambda program: HeadCounterProfiler(),
+        lambda program: event_oracle.HeadCounter(),
+    ),
 }
 
 
-def _events(seed=11, trips=8):
+def _stream(seed=11, trips=8):
+    """(program, oracle events, the production walker's batch)."""
     program = generate_program(seed=seed, num_procedures=3)
     trip_counts = {}
     for name in program.procedures:
         for header in procedure_loops(program, name).headers:
             trip_counts[header] = trips
-    oracle = TripCountOracle(RandomOracle(3, default_bias=0.5), trip_counts)
-    return program, list(CFGWalker(program, oracle).walk(500_000))
+
+    def oracle():
+        return TripCountOracle(RandomOracle(3, default_bias=0.5), trip_counts)
+
+    events = list(event_oracle.walk(program, oracle(), 500_000))
+    batch = walk_events(program, oracle(), 500_000)
+    assert batch == event_oracle.to_batch(events)
+    return program, events, batch
 
 
 def _chunks(batch, size):
@@ -63,55 +86,31 @@ def _chunks(batch, size):
 
 @pytest.fixture(scope="module")
 def stream():
-    return _events()
+    return _stream()
 
 
 @pytest.mark.parametrize("name", sorted(PROFILER_FACTORIES))
 def test_batch_reports_equal_scalar_reports(name, stream):
-    program, events = stream
-    factory = PROFILER_FACTORIES[name]
-    scalar = factory(program).run(iter(events))
+    program, events, batch = stream
+    factory, oracle_factory = PROFILER_FACTORIES[name]
+    scalar = oracle_factory(program).run(events)
 
-    batch = EventBatch.from_events(events)
     assert factory(program).run(batch) == scalar
     assert factory(program).run(iter(_chunks(batch, 613))) == scalar
     assert factory(program).run(iter(_chunks(batch, 3))) == scalar
 
 
-@pytest.mark.parametrize("name", sorted(PROFILER_FACTORIES))
-def test_mixed_scalar_and_batch_consumption(name, stream):
-    program, events = stream
-    factory = PROFILER_FACTORIES[name]
-    scalar = factory(program).run(iter(events))
-    split = len(events) // 3
-
-    # Scalar prefix, then the remainder as one batch.
-    mixed = factory(program)
-    for event in events[:split]:
-        mixed.observe(event)
-    mixed.observe_batch(EventBatch.from_events(events[split:]))
-    assert mixed.report() == scalar
-
-    # Batch prefix, then the remainder event by event.
-    mixed = factory(program)
-    mixed.observe_batch(EventBatch.from_events(events[:split]))
-    for event in events[split:]:
-        mixed.observe(event)
-    assert mixed.report() == scalar
-
-
 def test_compare_schemes_rows_identical_across_representations(stream):
-    program, events = stream
-    from_list = compare_schemes(program, events)
-    batch = EventBatch.from_events(events)
-    assert compare_schemes(program, batch) == from_list
-    assert compare_schemes(program, _chunks(batch, 919)) == from_list
+    program, events, batch = stream
+    scalar = event_oracle.compare_schemes(program, events)
+    assert compare_schemes(program, batch) == scalar
+    assert compare_schemes(program, _chunks(batch, 919)) == scalar
+    assert compare_schemes(program, iter(_chunks(batch, 919))) == scalar
 
 
 def test_bit_tracing_batch_ignores_events_after_halt(stream):
-    program, events = stream
-    scalar = BitTracingProfiler(program).run(iter(events))
-    batch = EventBatch.from_events(events)
+    program, events, batch = stream
+    scalar = event_oracle.BitTracing(program).run(events)
     profiler = BitTracingProfiler(program)
     profiler.observe_batch(batch)
     # The stream halted; later batches must not change the profile.

@@ -3,7 +3,9 @@
 For arbitrary generated programs and random decision streams, the
 extractor must (a) partition every executed block into exactly one path,
 (b) start every non-initial path where the previous one handed off, and
-(c) produce signatures that agree with the bit-tracing profiler.
+(c) produce signatures that agree with the bit-tracing profiler, and
+(d) cut any chunking of the stream exactly as the per-event oracle in
+:mod:`tests.trace.event_oracle` does.
 """
 
 import numpy as np
@@ -13,13 +15,13 @@ from hypothesis import strategies as st
 from repro.cfg import GeneratorParams, generate_program, procedure_loops
 from repro.profiling import BitTracingProfiler
 from repro.trace import (
-    CFGWalker,
-    EventBatch,
+    PathExtractor,
     RandomOracle,
     TripCountOracle,
-    extract_paths,
     record_path_trace,
 )
+from tests.conftest import walk_events
+from tests.trace import event_oracle
 
 _settings = settings(
     max_examples=25,
@@ -40,8 +42,13 @@ def _bounded_events(program_seed: int, oracle_seed: int, trips: int):
     oracle = TripCountOracle(
         RandomOracle(oracle_seed, default_bias=0.5), trip_counts
     )
-    events = list(CFGWalker(program, oracle).walk(max_events=100_000))
-    return program, events
+    return program, walk_events(program, oracle, max_events=100_000)
+
+
+def _extract(program, events):
+    """(path ids, table) of the extractor over one event batch."""
+    extractor = PathExtractor(program)
+    return extractor.extract_batch_ids(events).tolist(), extractor.table
 
 
 @given(
@@ -52,11 +59,10 @@ def _bounded_events(program_seed: int, oracle_seed: int, trips: int):
 @_settings
 def test_paths_partition_block_entries(program_seed, oracle_seed, trips):
     program, events = _bounded_events(program_seed, oracle_seed, trips)
-    occurrences, table = extract_paths(program, iter(events))
-    block_entries = 1 + sum(1 for event in events if event.dst != -1)
+    occurrences, table = _extract(program, events)
+    block_entries = 1 + int(np.count_nonzero(events.dst != -1))
     total_path_blocks = sum(
-        table.path(occurrence.path_id).num_blocks
-        for occurrence in occurrences
+        table.path(path_id).num_blocks for path_id in occurrences
     )
     assert total_path_blocks == block_entries
 
@@ -70,11 +76,11 @@ def test_paths_partition_block_entries(program_seed, oracle_seed, trips):
 def test_consecutive_paths_chain(program_seed, oracle_seed, trips):
     """Each path starts at the block the previous transfer targeted."""
     program, events = _bounded_events(program_seed, oracle_seed, trips)
-    occurrences, table = extract_paths(program, iter(events))
-    paths = [table.path(o.path_id) for o in occurrences]
+    occurrences, table = _extract(program, events)
+    paths = [table.path(path_id) for path_id in occurrences]
     # Rebuild the block-entry sequence and compare against concatenation.
     entered = [program.entry_block.uid]
-    entered += [event.dst for event in events if event.dst != -1]
+    entered += events.dst[events.dst != -1].tolist()
     concatenated = [uid for path in paths for uid in path.blocks]
     assert concatenated == entered
 
@@ -89,12 +95,12 @@ def test_bit_tracing_equals_extractor_frequencies(
     program_seed, oracle_seed, trips
 ):
     program, events = _bounded_events(program_seed, oracle_seed, trips)
-    occurrences, table = extract_paths(program, iter(events))
+    occurrences, table = _extract(program, events)
     frequencies = {}
-    for occurrence in occurrences:
-        signature = table.path(occurrence.path_id).signature
+    for path_id in occurrences:
+        signature = table.path(path_id).signature
         frequencies[signature] = frequencies.get(signature, 0) + 1
-    report = BitTracingProfiler(program).run(iter(events))
+    report = BitTracingProfiler(program).run(events)
     assert report.frequencies == frequencies
 
 
@@ -108,11 +114,10 @@ def test_bit_tracing_equals_extractor_frequencies(
 def test_batched_extraction_partitions_block_entries(
     program_seed, oracle_seed, trips, chunk
 ):
-    """The columnar extractor obeys the same partition invariant as the
-    scalar one for any chunking of the stream: every executed block
-    lands in exactly one path."""
-    program, events = _bounded_events(program_seed, oracle_seed, trips)
-    batch = EventBatch.from_events(events)
+    """Any chunking of the stream keeps the partition invariant (every
+    executed block lands in exactly one path) and cuts exactly where
+    the per-event oracle does."""
+    program, batch = _bounded_events(program_seed, oracle_seed, trips)
     chunks = [
         batch.slice(start, start + chunk)
         for start in range(0, len(batch), chunk)
@@ -121,7 +126,7 @@ def test_batched_extraction_partitions_block_entries(
     block_entries = 1 + int(np.count_nonzero(batch.dst != -1))
     total_path_blocks = int(trace.blocks_per_path()[trace.path_ids].sum())
     assert total_path_blocks == block_entries
-    scalar = record_path_trace(program, iter(events))
+    scalar = event_oracle.record(program, event_oracle.from_batch(batch))
     assert np.array_equal(trace.path_ids, scalar.path_ids)
 
 
@@ -135,8 +140,8 @@ def test_backward_ending_paths_start_next_at_branch_target(
     program_seed, oracle_seed, trips
 ):
     program, events = _bounded_events(program_seed, oracle_seed, trips)
-    occurrences, table = extract_paths(program, iter(events))
+    occurrences, table = _extract(program, events)
     heads = program.backward_branch_targets()
     for previous, current in zip(occurrences, occurrences[1:]):
-        if table.path(previous.path_id).ends_with_backward_branch:
-            assert table.path(current.path_id).start_uid in heads
+        if table.path(previous).ends_with_backward_branch:
+            assert table.path(current).start_uid in heads

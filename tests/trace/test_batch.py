@@ -1,4 +1,8 @@
-"""Columnar event batches: bridges, validation, batched producers."""
+"""Columnar event batches: validation, builders, batched producers.
+
+The producers are checked event for event against the scalar walker and
+machine loop in :mod:`tests.trace.event_oracle`.
+"""
 
 import itertools
 
@@ -19,9 +23,10 @@ from repro.trace import (
     TripCountOracle,
 )
 from repro.trace.events import HALT_DST
+from tests.trace import event_oracle
 
 
-def _bounded_walker(program_seed=3, oracle_seed=7, trips=4):
+def _bounded_oracle(program_seed=3, oracle_seed=7, trips=4):
     params = GeneratorParams(max_depth=2, max_elements=3)
     program = generate_program(
         seed=program_seed, num_procedures=2, params=params
@@ -33,21 +38,24 @@ def _bounded_walker(program_seed=3, oracle_seed=7, trips=4):
     oracle = TripCountOracle(
         RandomOracle(oracle_seed, default_bias=0.5), trip_counts
     )
+    return program, oracle
+
+
+def _bounded_walker(**kwargs):
+    program, oracle = _bounded_oracle(**kwargs)
     return program, CFGWalker(program, oracle)
-
-
-def _batch_events(batches):
-    return list(itertools.chain.from_iterable(batches))
 
 
 # ----------------------------------------------------------------------
 # EventBatch container
 # ----------------------------------------------------------------------
 def test_round_trip_is_lossless():
-    _, walker = _bounded_walker()
-    events = list(walker.walk(100_000))
-    batch = EventBatch.from_events(events)
-    assert batch.to_events() == events
+    # The oracle's bridge to and from event objects, which every
+    # equivalence test relies on, loses nothing.
+    program, oracle = _bounded_oracle()
+    events = list(event_oracle.walk(program, oracle, 100_000))
+    batch = event_oracle.to_batch(events)
+    assert event_oracle.from_batch(batch) == events
     assert len(batch) == len(events)
 
 
@@ -142,11 +150,11 @@ def test_builder_rejects_bad_capacity():
 # Batched CFG walking
 # ----------------------------------------------------------------------
 def test_walk_batched_matches_walk():
-    _, scalar_walker = _bounded_walker()
+    program, oracle = _bounded_oracle()
+    events = list(event_oracle.walk(program, oracle, 100_000))
     _, batched_walker = _bounded_walker()
-    events = list(scalar_walker.walk(100_000))
     batches = list(batched_walker.walk_batched(max_events=100_000))
-    assert _batch_events(batches) == events
+    assert event_oracle.from_batch(batches) == events
     assert batches[-1].dst[-1] == HALT_DST
 
 
@@ -166,11 +174,13 @@ def test_walk_batched_rejects_bad_batch_size(fig1_program):
 
 
 def test_walk_batched_truncate_matches_islice(fig1_program):
-    scalar = CFGWalker(fig1_program, RandomOracle(0, default_bias=1.0))
+    scalar = event_oracle.walk(
+        fig1_program, RandomOracle(0, default_bias=1.0)
+    )
     batched = CFGWalker(fig1_program, RandomOracle(0, default_bias=1.0))
-    events = list(itertools.islice(scalar.walk(), 50))
+    events = list(itertools.islice(scalar, 50))
     batches = list(batched.walk_batched(max_events=50, truncate=True))
-    assert _batch_events(batches) == events
+    assert event_oracle.from_batch(batches) == events
 
 
 def test_walk_batched_budget_raises_like_walk(fig1_program):
@@ -190,11 +200,14 @@ def test_walk_batched_publishes_tracegen_instruments():
 
 def test_block_random_oracle_self_consistent():
     program, _ = _bounded_walker()
-    scalar = CFGWalker(program, BlockRandomOracle(17, default_bias=0.6))
+    events = list(
+        event_oracle.walk(
+            program, BlockRandomOracle(17, default_bias=0.6), 100_000
+        )
+    )
     batched = CFGWalker(program, BlockRandomOracle(17, default_bias=0.6))
-    events = list(scalar.walk(100_000))
     batches = list(batched.walk_batched(max_events=100_000))
-    assert _batch_events(batches) == events
+    assert event_oracle.from_batch(batches) == events
 
 
 def test_block_random_oracle_rejects_bad_block_size():
@@ -209,12 +222,12 @@ def test_run_batched_matches_run():
     memory = rle.make_memory(seed=0, size=200)
     scalar = Machine(rle.build())
     scalar.load_memory(memory)
-    events = list(scalar.run())
+    events = list(event_oracle.run_machine(scalar))
 
     batched = Machine(rle.build())
     batched.load_memory(memory)
     batches = list(batched.run_batched(batch_size=997))
-    assert _batch_events(batches) == events
+    assert event_oracle.from_batch(batches) == events
     assert batched.state.output == scalar.state.output
 
 

@@ -1,9 +1,10 @@
-"""Batched extraction must be digest-identical to the scalar extractor.
+"""Extraction must be digest-identical to the scalar oracle's.
 
 The columnar pipeline (``EventBatch`` → ``find_cuts`` → segment memo)
 re-derives the paper's §3 segmentation; these tests pin it to the
-scalar reference on every bundled ISA program and on generated CFG
-workloads, across chunk boundaries and every ``max_blocks`` regime.
+per-event reference in :mod:`tests.trace.event_oracle` on every bundled
+ISA program and on generated CFG workloads, across chunk boundaries and
+every ``max_blocks`` regime.
 """
 
 import numpy as np
@@ -23,13 +24,14 @@ from repro.isa.programs import (
     stackvm,
 )
 from repro.trace import (
-    CFGWalker,
     EventBatch,
     PathExtractor,
     RandomOracle,
     TripCountOracle,
     record_path_trace,
 )
+from tests.conftest import walk_events
+from tests.trace import event_oracle
 
 #: Every bundled ISA program with a small input (name, assembled, memory).
 ISA_RUNS = [
@@ -50,14 +52,15 @@ def _chunks(batch: EventBatch, size: int) -> list[EventBatch]:
     ]
 
 
-def _cfg_events(seed=19, trips=9):
+def _cfg_oracle(seed=19, trips=9):
     program = generate_program(seed=seed, num_procedures=3)
     trip_counts = {}
     for name in program.procedures:
         for header in procedure_loops(program, name).headers:
             trip_counts[header] = trips
-    oracle = TripCountOracle(RandomOracle(7, default_bias=0.5), trip_counts)
-    return program, list(CFGWalker(program, oracle).walk(500_000))
+    return program, lambda: TripCountOracle(
+        RandomOracle(7, default_bias=0.5), trip_counts
+    )
 
 
 @pytest.mark.parametrize(
@@ -65,11 +68,14 @@ def _cfg_events(seed=19, trips=9):
 )
 def test_isa_programs_extract_digest_identically(name, module, make_memory):
     assembled = module.build()
-    events, _ = run_to_completion(assembled, make_memory(module))
+    events, _ = event_oracle.run_to_completion(
+        assembled, make_memory(module)
+    )
+    batch, _ = run_to_completion(assembled, make_memory(module))
     program = assembled.cfg
 
-    scalar = record_path_trace(program, iter(events))
-    batch = EventBatch.from_events(events)
+    assert batch == event_oracle.to_batch(events)
+    scalar = event_oracle.record(program, events)
     whole = record_path_trace(program, batch)
     chunked = record_path_trace(program, iter(_chunks(batch, 777)))
 
@@ -84,9 +90,8 @@ def test_isa_batched_paths_partition_block_entries(
     name, module, make_memory
 ):
     assembled = module.build()
-    events, _ = run_to_completion(assembled, make_memory(module))
+    batch, _ = run_to_completion(assembled, make_memory(module))
     program = assembled.cfg
-    batch = EventBatch.from_events(events)
     trace = record_path_trace(program, iter(_chunks(batch, 509)))
     block_entries = 1 + int(np.count_nonzero(batch.dst != -1))
     total_path_blocks = int(trace.blocks_per_path()[trace.path_ids].sum())
@@ -95,19 +100,20 @@ def test_isa_batched_paths_partition_block_entries(
 
 @pytest.mark.parametrize("max_blocks", [256, 7, 1, None])
 def test_generated_cfg_extraction_agrees_per_max_blocks(max_blocks):
-    program, events = _cfg_events()
-    scalar = record_path_trace(
-        program, iter(events), max_blocks=max_blocks
-    )
-    batch = EventBatch.from_events(events)
+    program, make_oracle = _cfg_oracle()
+    events = list(event_oracle.walk(program, make_oracle(), 500_000))
+    scalar = event_oracle.record(program, events, max_blocks=max_blocks)
+    batch = walk_events(program, make_oracle(), 500_000)
+    whole = record_path_trace(program, batch, max_blocks=max_blocks)
     chunked = record_path_trace(
         program, iter(_chunks(batch, 97)), max_blocks=max_blocks
     )
+    assert trace_digest(whole) == trace_digest(scalar)
     assert trace_digest(chunked) == trace_digest(scalar)
 
 
 def test_empty_stream_yields_single_entry_path(fig1_program):
-    scalar = record_path_trace(fig1_program, iter([]))
+    scalar = event_oracle.record(fig1_program, [])
     batched = record_path_trace(fig1_program, EventBatch.empty())
     assert scalar.flow == batched.flow == 1
     assert trace_digest(batched) == trace_digest(scalar)
@@ -123,8 +129,7 @@ def test_batch_continuity_validated_at_stream_head(fig1_program):
 
 
 def test_batch_continuity_validated_mid_batch(fig1_program):
-    walker = CFGWalker(fig1_program, RandomOracle(0, default_bias=0.5))
-    batch = EventBatch.from_events(walker.walk(10_000))
+    batch = walk_events(fig1_program, RandomOracle(0, default_bias=0.5))
     src = batch.src.copy()
     src[2] = 99  # break the src/dst chain
     broken = EventBatch(src, batch.dst, batch.kind, batch.backward)
@@ -133,14 +138,13 @@ def test_batch_continuity_validated_mid_batch(fig1_program):
 
 
 def test_extract_batch_occurrences_match_scalar(fig1_program):
-    walker = CFGWalker(fig1_program, RandomOracle(4, default_bias=0.5))
-    events = list(walker.walk(10_000))
-    scalar = PathExtractor(fig1_program)
-    scalar_occurrences = list(scalar.extract(iter(events)))
-    batched = PathExtractor(fig1_program)
-    batch_occurrences = batched.extract_batch(
-        EventBatch.from_events(events)
+    events = list(
+        event_oracle.walk(fig1_program, RandomOracle(4, default_bias=0.5))
     )
-    assert [
-        (o.path_id, o.index) for o in batch_occurrences
-    ] == [(o.path_id, o.index) for o in scalar_occurrences]
+    scalar_ids, scalar_table = event_oracle.extract(fig1_program, events)
+    batched = PathExtractor(fig1_program)
+    ids = batched.extract_batch_ids(
+        walk_events(fig1_program, RandomOracle(4, default_bias=0.5))
+    )
+    assert ids.tolist() == scalar_ids
+    assert list(batched.table) == list(scalar_table)

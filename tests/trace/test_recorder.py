@@ -5,13 +5,12 @@ import pytest
 
 from repro.errors import TraceError
 from repro.trace import (
-    CFGWalker,
     PathTable,
     PathTrace,
     ScriptedOracle,
     record_path_trace,
 )
-from tests.conftest import make_path
+from tests.conftest import make_path, walk_events
 
 
 def _two_path_trace() -> PathTrace:
@@ -23,7 +22,7 @@ def _two_path_trace() -> PathTrace:
 
 def test_record_matches_extraction(fig1_program):
     decisions = [True, True, True, True, False, False]
-    events = CFGWalker(fig1_program, ScriptedOracle(decisions)).walk(1000)
+    events = walk_events(fig1_program, ScriptedOracle(decisions), 1000)
     trace = record_path_trace(fig1_program, events, name="fig1")
     assert trace.flow == 3  # two loop iterations + the exit path
     assert trace.freqs().sum() == 3
@@ -95,7 +94,7 @@ def test_summarize(fig1_program):
     from repro.trace import summarize
 
     decisions = [True, True, True, True, False, False]
-    events = CFGWalker(fig1_program, ScriptedOracle(decisions)).walk(1000)
+    events = walk_events(fig1_program, ScriptedOracle(decisions), 1000)
     trace = record_path_trace(fig1_program, events, name="fig1")
     summary = summarize(trace)
     assert summary.flow == 3
