@@ -37,14 +37,13 @@ class NETSession:
         The prediction delay τ; a head turns hot at its (τ+1)-th counted
         arrival, and the occurrence that makes it hot is itself eligible
         for selection (matching ``NETPredictor``'s accounting).
-    count_backward_arrivals_only:
-        When True (default, matching Dynamo) only arrivals via a
-        backward taken branch bump the head counter.
+
+    Only arrivals via a backward taken branch bump a head counter, as in
+    Dynamo (``NETPredictor``'s default counting mode).
     """
 
     __slots__ = (
         "delay",
-        "count_backward_arrivals_only",
         "_counters",
         "_captured",
         "_predicted",
@@ -55,15 +54,12 @@ class NETSession:
         "_collection_blocks",
     )
 
-    def __init__(
-        self, delay: int, count_backward_arrivals_only: bool = True
-    ):
+    def __init__(self, delay: int):
         if delay < 0:
             raise PredictionError(
                 f"delay must be non-negative, got {delay}"
             )
         self.delay = int(delay)
-        self.count_backward_arrivals_only = count_backward_arrivals_only
         #: head uid -> counted arrivals so far (created on first count).
         self._counters: dict[int, int] = {}
         #: path id -> post-hot executions (created at selection time).
@@ -95,19 +91,13 @@ class NETSession:
         index = self._flow
         self._flow = index + 1
 
-        counted = (
-            self._prev_ends_backward
-            if self.count_backward_arrivals_only
-            else True
-        )
-        self._prev_ends_backward = ends_backward
-
         counters = self._counters
-        if counted:
+        if self._prev_ends_backward:
             count = counters.get(head_uid, 0) + 1
             counters[head_uid] = count
             if count <= self.delay + 1:
                 self._increments += 1
+        self._prev_ends_backward = ends_backward
 
         # Hot exactly when the head has accumulated > τ counted
         # arrivals by this occurrence — the streaming restatement of
@@ -156,7 +146,7 @@ class NETSession:
         """Restore the exact state captured by :meth:`state_dict`.
 
         Only valid on a fresh session (nothing observed yet); the
-        configuration (τ, counting mode) comes from the constructor and
+        configuration (τ) comes from the constructor and
         is *not* part of the state.
         """
         if self._flow:
@@ -198,7 +188,7 @@ class NETSession:
         """The session's state as a :class:`PredictionOutcome`.
 
         After a complete stream this equals (array for array, field for
-        field) what ``NETPredictor(delay, count_backward_arrivals_only)``
+        field) what ``NETPredictor(delay)``
         returns for the materialized trace.
         """
         predicted = np.asarray(self._predicted, dtype=np.int64)

@@ -279,12 +279,7 @@ class BallLarusProfiler(Profiler):
             _, _, current = self._stack[-1]
             self._end_path(current, None)
             self._stack.pop()
-        return ProfileReport(
-            scheme=self.name,
-            frequencies={key: count for key, count in self._counters.items()},
-            counter_space=self._counters.high_water,
-            profiling_ops=self._increment_ops + self._counters.updates,
-        )
+        return self._report(self._counters, self._increment_ops)
 
     # ------------------------------------------------------------------
     def decode(self, key: tuple[str, int]) -> list[int]:

@@ -13,6 +13,7 @@ import abc
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from repro.profiling.counters import CounterTable
 from repro.trace.batch import EventBatch
 
 
@@ -74,3 +75,19 @@ class Profiler(abc.ABC):
         for batch in events:
             self.observe_batch(batch)
         return self.report()
+
+    def _report(
+        self, counters: CounterTable, extra_ops: int = 0
+    ) -> ProfileReport:
+        """The report of a scheme whose units are ``counters``' keys.
+
+        Counter space is the table's high-water mark; profiling ops are
+        its updates plus ``extra_ops``, the scheme's own per-event work
+        (shifts, increments, queue operations).
+        """
+        return ProfileReport(
+            scheme=self.name,
+            frequencies=dict(counters.items()),
+            counter_space=counters.high_water,
+            profiling_ops=extra_ops + counters.updates,
+        )

@@ -1,17 +1,19 @@
 """Bit tracing: on-the-fly path signatures (paper §2).
 
 A path is identified by ``<start_address>.<history>,<indirect targets>``.
-The profiler mirrors the paper's description exactly: a signature register
-shifts in one bit per conditional branch outcome, appends indirect branch
-targets, and on reaching a path end uses the signature as a hash-table key
-to bump the path's counter.  No preparatory static analysis is needed —
-the advantage over Ball–Larus numbering the paper highlights — at the
-price of per-branch shift operations on *every* branch.  The simulation
-replays a register once per *distinct* path segment and memoizes the
-signature; the operation count still charges every shift.
+In the paper's scheme a signature register shifts in one bit per
+conditional branch outcome, appends indirect branch targets, and on
+reaching a path end uses the signature as a hash-table key to bump the
+path's counter.  No preparatory static analysis is needed — the
+advantage over Ball–Larus numbering the paper highlights — at the price
+of per-branch shift operations on *every* branch.
 
-Path-end detection follows the interprocedural forward-path definition,
-shared with :mod:`repro.trace.extractor` (and tested to agree with it).
+That signature is exactly the identity :class:`~repro.trace.path.PathTable`
+interns paths by, so the simulation counts the path occurrences of a
+:class:`~repro.trace.extractor.PathStream` by their signatures: the
+register's content at each path end is the completed path's signature,
+and the shifts it took are the path's conditional plus indirect branch
+counts, charged once per occurrence.
 """
 
 from __future__ import annotations
@@ -21,15 +23,8 @@ import numpy as np
 from repro.cfg.program import Program
 from repro.profiling.base import Profiler, ProfileReport
 from repro.profiling.counters import CounterTable
-from repro.trace.batch import (
-    CODE_FALLTHROUGH,
-    CODE_INDIRECT,
-    CODE_TAKEN,
-    EventBatch,
-)
-from repro.trace.columnar import find_cuts
-from repro.trace.events import HALT_DST
-from repro.trace.path import PathSignature, SignatureRegister
+from repro.trace.batch import EventBatch
+from repro.trace.extractor import PathExtractor, PathStream
 
 
 class BitTracingProfiler(Profiler):
@@ -46,136 +41,47 @@ class BitTracingProfiler(Profiler):
     name = "bit-tracing"
 
     def __init__(self, program: Program, max_blocks: int | None = 256):
-        self._program = program
-        self._max_blocks = max_blocks
+        self._extractor = PathExtractor(program, max_blocks=max_blocks)
+        # Opened at the first non-empty batch, from that batch's source.
+        self._stream: PathStream | None = None
         self._counters = CounterTable("paths")
         self._shift_ops = 0
-        # The open path: its start uid (None before the first batch and
-        # after a halt) and its events so far, carried between batches.
-        self._started = False
-        self._halted = False
-        self._seg_uid: int | None = None
-        self._carry_dst: np.ndarray | None = None
-        self._carry_kind: np.ndarray | None = None
-        self._carry_backward: np.ndarray | None = None
-        self._sig_memo: dict[tuple, PathSignature] = {}
-
-    def _bump_segment(
-        self, uid: int, dst_seg: np.ndarray, kind_seg: np.ndarray
-    ) -> None:
-        """Bump the signature of one path segment.
-
-        The signature only depends on the start uid, the kind codes and
-        the indirect targets — all captured by ``dst * 8 + kind`` — so
-        recurring segments hit a memo instead of replaying their shifts.
-        """
-        key = (uid, (dst_seg * np.int64(8) + kind_seg).tobytes())
-        signature = self._sig_memo.get(key)
-        if signature is None:
-            signature = self._build_signature(uid, dst_seg, kind_seg)
-            self._sig_memo[key] = signature
-        self._counters.bump(signature)
-
-    def _build_signature(
-        self, uid: int, dst_seg: np.ndarray, kind_seg: np.ndarray
-    ) -> PathSignature:
-        """Replay one segment's shifts into a fresh register (memo miss)."""
-        register = SignatureRegister(self._program.block_by_uid(uid).address)
-        for kc, dc in zip(kind_seg.tolist(), dst_seg.tolist()):
-            if kc == CODE_TAKEN:
-                register.shift(1)
-            elif kc == CODE_FALLTHROUGH:
-                register.shift(0)
-            elif kc == CODE_INDIRECT and dc != HALT_DST:
-                register.record_indirect(
-                    self._program.block_by_uid(dc).address
-                )
-        return register.snapshot()
 
     def observe_batch(self, batch: EventBatch) -> None:
-        """Segment with find_cuts and bump each path's signature.
+        """Segment the batch and bump each completed path's signature.
 
-        Shift-op accounting is a vectorized count (one op per branch
-        outcome shifted and per indirect target recorded), and each cut
-        segment bumps the signature a register shifting per branch
-        would have accumulated.  Events after a halt are ignored (the
-        trace has ended).
+        Events after a halt are ignored (the trace has ended).
         """
-        if self._halted or len(batch) == 0:
+        if self._stream is None:
+            if len(batch) == 0:
+                return
+            self._stream = self._extractor.stream(start_uid=int(batch.src[0]))
+        self._count(self._stream.feed(batch))
+
+    def _count(self, path_ids: list[int]) -> None:
+        """Bump each occurring path's signature, charge its shifts.
+
+        The private table interns paths in order of first occurrence,
+        so bumping the distinct ids in id order with their counts
+        builds the counters one bump per occurrence would.
+        """
+        if not path_ids:
             return
-        if not self._started:
-            self._started = True
-            self._seg_uid = int(batch.src[0])
-
-        dst = batch.dst
-        kind = batch.kind
-        backward = batch.backward
-        halts = np.flatnonzero(dst == HALT_DST)
-        if halts.size:
-            end = int(halts[0]) + 1
-            dst = dst[:end]
-            kind = kind[:end]
-            backward = backward[:end]
-            self._halted = True
-
-        conditional = (kind == CODE_TAKEN) | (kind == CODE_FALLTHROUGH)
-        indirect = (kind == CODE_INDIRECT) & (dst != HALT_DST)
-        self._shift_ops += int(np.count_nonzero(conditional))
-        self._shift_ops += int(np.count_nonzero(indirect))
-
-        if self._carry_dst is not None and len(self._carry_dst):
-            dst = np.concatenate((self._carry_dst, dst))
-            kind = np.concatenate((self._carry_kind, kind))
-            backward = np.concatenate((self._carry_backward, backward))
-
-        # One combined column keys the segment memo (see _bump_segment).
-        comb = dst * np.int64(8) + kind
-        cuts = find_cuts(dst, kind, backward, self._max_blocks)
-        memo = self._sig_memo
-        bump = self._counters.bump
-        begin = 0
-        for cut, next_uid in zip(cuts.tolist(), dst[cuts].tolist()):
-            stop = cut + 1
-            key = (self._seg_uid, comb[begin:stop].tobytes())
-            signature = memo.get(key)
-            if signature is None:
-                signature = self._build_signature(
-                    self._seg_uid, dst[begin:stop], kind[begin:stop]
-                )
-                memo[key] = signature
-            bump(signature)
-            self._seg_uid = None if next_uid == HALT_DST else next_uid
-            begin = stop
-        if self._halted:
-            self._carry_dst = None
-            self._carry_kind = None
-            self._carry_backward = None
-        else:
-            self._carry_dst = dst[begin:].copy()
-            self._carry_kind = kind[begin:].copy()
-            self._carry_backward = backward[begin:].copy()
+        counts = np.bincount(path_ids)
+        seen = np.flatnonzero(counts).tolist()
+        amounts = counts[seen].tolist()
+        paths = [self._extractor.table.path(path_id) for path_id in seen]
+        self._counters.bump_many([path.signature for path in paths], amounts)
+        self._shift_ops += sum(
+            [
+                (path.num_cond_branches + path.num_indirect_branches) * amount
+                for path, amount in zip(paths, amounts)
+            ]
+        )
 
     def report(self) -> ProfileReport:
-        if self._seg_uid is not None:
+        stream = self._stream
+        if stream is not None and not stream.finished:
             # Flush the path in flight when the stream ended.
-            dst_tail = (
-                self._carry_dst
-                if self._carry_dst is not None
-                else np.empty(0, np.int64)
-            )
-            kind_tail = (
-                self._carry_kind
-                if self._carry_kind is not None
-                else np.empty(0, np.uint8)
-            )
-            self._bump_segment(self._seg_uid, dst_tail, kind_tail)
-            self._seg_uid = None
-            self._carry_dst = None
-            self._carry_kind = None
-            self._carry_backward = None
-        return ProfileReport(
-            scheme=self.name,
-            frequencies={key: count for key, count in self._counters.items()},
-            counter_space=self._counters.high_water,
-            profiling_ops=self._shift_ops + self._counters.updates,
-        )
+            self._count(stream.finish())
+        return self._report(self._counters, self._shift_ops)

@@ -36,9 +36,4 @@ class BlockProfiler(Profiler):
         self._counters.bump_many(uids.tolist(), counts.tolist())
 
     def report(self) -> ProfileReport:
-        return ProfileReport(
-            scheme=self.name,
-            frequencies={key: count for key, count in self._counters.items()},
-            counter_space=self._counters.high_water,
-            profiling_ops=self._counters.updates,
-        )
+        return self._report(self._counters)

@@ -39,9 +39,4 @@ class EdgeProfiler(Profiler):
         self._counters.bump_many(keys, counts.tolist())
 
     def report(self) -> ProfileReport:
-        return ProfileReport(
-            scheme=self.name,
-            frequencies={key: count for key, count in self._counters.items()},
-            counter_space=self._counters.high_water,
-            profiling_ops=self._counters.updates,
-        )
+        return self._report(self._counters)

@@ -160,9 +160,4 @@ class KBoundedPathProfiler(Profiler):
         self._window = deque(tail_pairs, maxlen=k)
 
     def report(self) -> ProfileReport:
-        return ProfileReport(
-            scheme=self.name,
-            frequencies={key: count for key, count in self._counters.items()},
-            counter_space=self._counters.high_water,
-            profiling_ops=self._queue_ops + self._counters.updates,
-        )
+        return self._report(self._counters, self._queue_ops)

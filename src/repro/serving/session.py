@@ -102,7 +102,6 @@ class TenantSession:
         program: Program,
         delay: int,
         max_blocks: int | None = 256,
-        count_backward_arrivals_only: bool = True,
         start_uid: int | None = None,
     ):
         self.tenant_id = tenant_id
@@ -110,10 +109,7 @@ class TenantSession:
         # ``start_uid`` resumes a stream mid-flight (a re-admitted
         # tenant whose previous session was evicted at that block).
         self._stream = self._extractor.stream(start_uid=start_uid)
-        self._net = NETSession(
-            delay,
-            count_backward_arrivals_only=count_backward_arrivals_only,
-        )
+        self._net = NETSession(delay)
         self._known_paths = 0
         # Per-path static attributes, appended as the table grows, so
         # the per-occurrence hot loop never touches Path objects.
@@ -229,9 +225,6 @@ class TenantSession:
             "tenant_id": self.tenant_id,
             "delay": self._net.delay,
             "max_blocks": self._extractor._max_blocks,
-            "count_backward_arrivals_only": (
-                self._net.count_backward_arrivals_only
-            ),
             "paths": paths,
             "stream": self._stream.checkpoint(),
             "net": self._net.state_dict(),
@@ -254,9 +247,6 @@ class TenantSession:
                 program=program,
                 delay=int(state["delay"]),
                 max_blocks=state["max_blocks"],
-                count_backward_arrivals_only=bool(
-                    state["count_backward_arrivals_only"]
-                ),
             )
             table = session._extractor.table
             for record in state["paths"]:

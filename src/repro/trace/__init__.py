@@ -18,7 +18,7 @@ from repro.trace.columnar import find_cuts
 from repro.trace.events import HALT_DST
 from repro.trace.extractor import PathExtractor, PathStream
 from repro.trace.io import load_trace, save_trace
-from repro.trace.path import Path, PathSignature, PathTable, SignatureRegister
+from repro.trace.path import Path, PathSignature, PathTable
 from repro.trace.recorder import PathTrace, record_path_trace
 from repro.trace.stats import TraceSummary, summarize
 from repro.trace.walker import (
@@ -45,7 +45,6 @@ __all__ = [
     "PathTrace",
     "RandomOracle",
     "ScriptedOracle",
-    "SignatureRegister",
     "TraceSummary",
     "TripCountOracle",
     "find_cuts",

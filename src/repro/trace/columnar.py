@@ -14,9 +14,9 @@
 Most segments end at a hard cut with neither a length overflow nor a
 call/return pair inside, so the implementation classifies all
 hard-to-hard regions vectorized and only walks the rare "complex"
-regions with a chained scan.  The cut list drives both the path
-extractor and the bit-tracing profiler, which is what keeps the two in
-exact agreement.
+regions with a chained scan.  The cut list drives the path extractor's
+:class:`~repro.trace.extractor.PathStream`, the one segmenter every
+path consumer (recording, serving, bit tracing) reads.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ metrics rely on (and that the property tests assert).
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,19 +53,6 @@ from repro.trace.path import Path, PathSignature, PathTable
 _END_FORWARD = 0
 _END_BACKWARD = 1
 _END_TAIL = 2
-
-
-@dataclass(slots=True)
-class _BatchCursor:
-    """Streaming state while extracting a sequence of batches."""
-
-    uid: int  # start uid of the open segment
-    expect_src: int  # src the next event must carry (continuity check)
-    halted: bool = False
-    carry_dst: np.ndarray | None = None
-    carry_kind: np.ndarray | None = None
-    carry_backward: np.ndarray | None = None
-    ids: list[int] = field(default_factory=list)
 
 
 class PathExtractor:
@@ -100,7 +86,7 @@ class PathExtractor:
         # a segment's path (and thus its table id) is a pure function of
         # (start uid, event targets, event kinds, how it ended), so a
         # byte-string key resolves repeated segments without rebuilding
-        # Path objects.  See :meth:`_consume_batch`.
+        # Path objects.  See :meth:`PathStream._consume_batch`.
         self._segment_memo: dict[tuple, int] = {}
 
     def extract_batch_ids(
@@ -142,7 +128,7 @@ class PathExtractor:
             if start_uid is not None
             else self._program.entry_block.uid
         )
-        return PathStream(self, _BatchCursor(uid=uid, expect_src=uid))
+        return PathStream(self, uid)
 
     def resume_stream(self, state: dict) -> "PathStream":
         """Rebuild a :class:`PathStream` from a :meth:`PathStream.checkpoint`.
@@ -151,122 +137,19 @@ class PathExtractor:
         was interning into (restored tables re-intern paths in their
         original order, so ids keep meaning the same paths).
         """
-        carry_dst = state["carry_dst"]
-        cursor = _BatchCursor(
-            uid=int(state["uid"]),
-            expect_src=int(state["expect_src"]),
-            halted=bool(state["halted"]),
-        )
-        if carry_dst:
-            cursor.carry_dst = np.asarray(carry_dst, dtype=np.int64)
-            cursor.carry_kind = np.asarray(
+        stream = PathStream(self, int(state["uid"]))
+        stream._expect_src = int(state["expect_src"])
+        stream._halted = bool(state["halted"])
+        stream._finished = bool(state.get("finished", False))
+        if state["carry_dst"]:
+            stream._carry_dst = np.asarray(state["carry_dst"], dtype=np.int64)
+            stream._carry_kind = np.asarray(
                 state["carry_kind"], dtype=np.uint8
             )
-            cursor.carry_backward = np.asarray(
+            stream._carry_backward = np.asarray(
                 state["carry_backward"], dtype=np.uint8
             ).astype(bool)
-        stream = PathStream(self, cursor)
-        stream._finished = bool(state.get("finished", False))
         return stream
-
-    def _consume_batch(self, batch: EventBatch, cursor: _BatchCursor) -> None:
-        if len(batch) == 0:
-            return
-        src = batch.src
-        dst = batch.dst
-        kind = batch.kind
-        backward = batch.backward
-
-        # Truncate at the first halt: the stream ends there, and events
-        # beyond it are never even validated.
-        halts = np.flatnonzero(dst == HALT_DST)
-        if halts.size:
-            end = int(halts[0]) + 1
-            src = src[:end]
-            dst = dst[:end]
-            kind = kind[:end]
-            backward = backward[:end]
-            cursor.halted = True
-
-        # Continuity validation: every event's src must be the previous
-        # event's dst (the first continuing from the open segment).
-        if int(src[0]) != cursor.expect_src:
-            raise TraceError(
-                f"event source {int(src[0])} does not match current "
-                f"block {cursor.expect_src}"
-            )
-        if len(src) > 1:
-            mismatch = np.flatnonzero(src[1:] != dst[:-1])
-            if mismatch.size:
-                at = int(mismatch[0])
-                raise TraceError(
-                    f"event source {int(src[at + 1])} does not match "
-                    f"current block {int(dst[at])}"
-                )
-        cursor.expect_src = int(dst[-1])
-
-        # Prepend the open segment's carried events (bounded by
-        # max_blocks: a length cut fires before the carry can grow past
-        # it) so cuts are found with full segment context.
-        if cursor.carry_dst is not None and len(cursor.carry_dst):
-            dst = np.concatenate((cursor.carry_dst, dst))
-            kind = np.concatenate((cursor.carry_kind, kind))
-            backward = np.concatenate((cursor.carry_backward, backward))
-        cursor.carry_dst = None
-        cursor.carry_kind = None
-        cursor.carry_backward = None
-
-        cuts = find_cuts(dst, kind, backward, self._max_blocks)
-
-        prev = -1
-        uid = cursor.uid
-        memo = self._segment_memo
-        intern = self._intern_segment
-        ids = cursor.ids
-        for cut in cuts.tolist():
-            begin = prev + 1
-            dst_slice = dst[begin : cut + 1]
-            kind_slice = kind[begin : cut + 1]
-            marker = _END_BACKWARD if backward[cut] else _END_FORWARD
-            key = (uid, dst_slice.tobytes(), kind_slice.tobytes(), marker)
-            path_id = memo.get(key)
-            if path_id is None:
-                path_id = intern(uid, dst_slice, kind_slice, marker)
-                memo[key] = path_id
-            ids.append(path_id)
-            prev = cut
-            uid = int(dst[cut])
-
-        cursor.uid = uid
-        begin = prev + 1
-        if not cursor.halted and begin < len(dst):
-            # Events after the last cut stay buffered as the open
-            # segment (copied: the slices would pin the whole batch).
-            cursor.carry_dst = dst[begin:].copy()
-            cursor.carry_kind = kind[begin:].copy()
-            cursor.carry_backward = backward[begin:].copy()
-
-    def _flush_tail(self, cursor: _BatchCursor) -> None:
-        """Emit the final, unterminated segment (every stream has one)."""
-        if cursor.carry_dst is None:
-            dst_slice = np.empty(0, dtype=np.int64)
-            kind_slice = np.empty(0, dtype=np.uint8)
-        else:
-            dst_slice = cursor.carry_dst
-            kind_slice = cursor.carry_kind
-        key = (
-            cursor.uid,
-            dst_slice.tobytes(),
-            kind_slice.tobytes(),
-            _END_TAIL,
-        )
-        path_id = self._segment_memo.get(key)
-        if path_id is None:
-            path_id = self._intern_segment(
-                cursor.uid, dst_slice, kind_slice, _END_TAIL
-            )
-            self._segment_memo[key] = path_id
-        cursor.ids.append(path_id)
 
     def _intern_segment(
         self,
@@ -349,17 +232,32 @@ class PathStream:
     extractor, and repeated segments cost no per-event Python work.
     """
 
-    __slots__ = ("_extractor", "_cursor", "_finished")
+    __slots__ = (
+        "_extractor",
+        "_uid",
+        "_expect_src",
+        "_halted",
+        "_finished",
+        "_carry_dst",
+        "_carry_kind",
+        "_carry_backward",
+    )
 
-    def __init__(self, extractor: PathExtractor, cursor: _BatchCursor):
+    def __init__(self, extractor: PathExtractor, uid: int):
         self._extractor = extractor
-        self._cursor = cursor
+        self._uid = uid  # start uid of the open segment
+        self._expect_src = uid  # src the next event must carry
+        self._halted = False
         self._finished = False
+        # The open segment's events so far, carried between batches.
+        self._carry_dst: np.ndarray | None = None
+        self._carry_kind: np.ndarray | None = None
+        self._carry_backward: np.ndarray | None = None
 
     @property
     def halted(self) -> bool:
         """Whether the stream saw a halt event (further feeds are no-ops)."""
-        return self._cursor.halted
+        return self._halted
 
     @property
     def finished(self) -> bool:
@@ -373,66 +271,146 @@ class PathStream:
         (``PathExtractor.stream(start_uid=position)``) after the open
         segment's buffered events are discarded — how the serving layer
         re-admits an evicted tenant mid-stream."""
-        return self._cursor.expect_src
+        return self._expect_src
 
     def feed(self, batch: EventBatch) -> list[int]:
         """Consume one batch; return ids of segments it completed."""
         if self._finished:
             raise TraceError("cannot feed a finished path stream")
-        cursor = self._cursor
-        if not cursor.halted:
+        if self._halted or len(batch) == 0:
             # The stream ends at halt; events past it are ignored, not
             # validated.
-            self._extractor._consume_batch(batch, cursor)
-        return self._drain()
+            return []
+        return self._consume_batch(batch)
 
     def finish(self) -> list[int]:
         """End the stream; return ids the final flush completed."""
         if self._finished:
             raise TraceError("path stream already finished")
         self._finished = True
-        cursor = self._cursor
-        if not cursor.halted:
-            self._extractor._flush_tail(cursor)
-        return self._drain()
+        if self._halted:
+            return []
+        return [self._flush_tail()]
 
-    def _drain(self) -> list[int]:
-        ids = self._cursor.ids
-        self._cursor.ids = []
+    def _consume_batch(self, batch: EventBatch) -> list[int]:
+        src = batch.src
+        dst = batch.dst
+        kind = batch.kind
+        backward = batch.backward
+
+        # Truncate at the first halt: the stream ends there, and events
+        # beyond it are never even validated.
+        halts = np.flatnonzero(dst == HALT_DST)
+        if halts.size:
+            end = int(halts[0]) + 1
+            src = src[:end]
+            dst = dst[:end]
+            kind = kind[:end]
+            backward = backward[:end]
+            self._halted = True
+
+        # Continuity validation: every event's src must be the previous
+        # event's dst (the first continuing from the open segment).
+        if int(src[0]) != self._expect_src:
+            raise TraceError(
+                f"event source {int(src[0])} does not match current "
+                f"block {self._expect_src}"
+            )
+        if len(src) > 1:
+            mismatch = np.flatnonzero(src[1:] != dst[:-1])
+            if mismatch.size:
+                at = int(mismatch[0])
+                raise TraceError(
+                    f"event source {int(src[at + 1])} does not match "
+                    f"current block {int(dst[at])}"
+                )
+        self._expect_src = int(dst[-1])
+
+        # Prepend the open segment's carried events (bounded by
+        # max_blocks: a length cut fires before the carry can grow past
+        # it) so cuts are found with full segment context.
+        if self._carry_dst is not None:
+            dst = np.concatenate((self._carry_dst, dst))
+            kind = np.concatenate((self._carry_kind, kind))
+            backward = np.concatenate((self._carry_backward, backward))
+        self._carry_dst = None
+        self._carry_kind = None
+        self._carry_backward = None
+
+        extractor = self._extractor
+        cuts = find_cuts(dst, kind, backward, extractor._max_blocks)
+
+        prev = -1
+        uid = self._uid
+        memo = extractor._segment_memo
+        intern = extractor._intern_segment
+        ids: list[int] = []
+        for cut in cuts.tolist():
+            begin = prev + 1
+            dst_slice = dst[begin : cut + 1]
+            kind_slice = kind[begin : cut + 1]
+            marker = _END_BACKWARD if backward[cut] else _END_FORWARD
+            key = (uid, dst_slice.tobytes(), kind_slice.tobytes(), marker)
+            path_id = memo.get(key)
+            if path_id is None:
+                path_id = intern(uid, dst_slice, kind_slice, marker)
+                memo[key] = path_id
+            ids.append(path_id)
+            prev = cut
+            uid = int(dst[cut])
+
+        self._uid = uid
+        begin = prev + 1
+        if not self._halted and begin < len(dst):
+            # Events after the last cut stay buffered as the open
+            # segment (copied: the slices would pin the whole batch).
+            self._carry_dst = dst[begin:].copy()
+            self._carry_kind = kind[begin:].copy()
+            self._carry_backward = backward[begin:].copy()
         return ids
+
+    def _flush_tail(self) -> int:
+        """Id of the final, unterminated segment (every stream has one)."""
+        if self._carry_dst is None:
+            dst_slice = np.empty(0, dtype=np.int64)
+            kind_slice = np.empty(0, dtype=np.uint8)
+        else:
+            dst_slice = self._carry_dst
+            kind_slice = self._carry_kind
+        key = (self._uid, dst_slice.tobytes(), kind_slice.tobytes(), _END_TAIL)
+        extractor = self._extractor
+        path_id = extractor._segment_memo.get(key)
+        if path_id is None:
+            path_id = extractor._intern_segment(
+                self._uid, dst_slice, kind_slice, _END_TAIL
+            )
+            extractor._segment_memo[key] = path_id
+        return path_id
 
     # ------------------------------------------------------------------
     # Durable state (serving checkpoints)
     # ------------------------------------------------------------------
     def checkpoint(self) -> dict:
-        """The stream's cursor as plain JSON-able data.
+        """The stream's state as plain JSON-able data.
 
         Captures everything :meth:`feed` carries between batches: the
         open segment's start uid, the continuity expectation, the halt
-        flag and the buffered (carried) open-segment columns.  Only
-        valid at a batch boundary — i.e. with no undrained completed
-        segments, which is always true between :meth:`feed` calls.
+        flag and the buffered (carried) open-segment columns.
         :meth:`PathExtractor.resume_stream` is the inverse; a resumed
         stream continues the event stream byte-identically (same cuts,
         same interned paths, same ids).
         """
-        cursor = self._cursor
-        if cursor.ids:
-            raise TraceError(
-                "cannot checkpoint a path stream with undrained segments"
-            )
-        carry = cursor.carry_dst is not None and len(cursor.carry_dst) > 0
+        carry = self._carry_dst is not None
         return {
-            "uid": int(cursor.uid),
-            "expect_src": int(cursor.expect_src),
-            "halted": bool(cursor.halted),
+            "uid": int(self._uid),
+            "expect_src": int(self._expect_src),
+            "halted": bool(self._halted),
             "finished": self._finished,
-            "carry_dst": cursor.carry_dst.tolist() if carry else [],
-            "carry_kind": cursor.carry_kind.tolist() if carry else [],
+            "carry_dst": self._carry_dst.tolist() if carry else [],
+            "carry_kind": self._carry_kind.tolist() if carry else [],
             "carry_backward": (
-                cursor.carry_backward.astype(np.uint8).tolist()
+                self._carry_backward.astype(np.uint8).tolist()
                 if carry
                 else []
             ),
         }
-

@@ -7,9 +7,11 @@ reports a per-event simulation does (the scalar profilers in
 space, same operation counts — for any chunking of the stream.
 """
 
+import numpy as np
 import pytest
 
 from repro.cfg import generate_program, procedure_loops
+from repro.errors import TraceError
 from repro.profiling import (
     BallLarusProfiler,
     BitTracingProfiler,
@@ -19,7 +21,7 @@ from repro.profiling import (
     compare_schemes,
 )
 from repro.profiling.overhead import HeadCounterProfiler
-from repro.trace import RandomOracle, TripCountOracle
+from repro.trace import RandomOracle, TripCountOracle, find_cuts
 from tests.conftest import walk_events
 from tests.trace import event_oracle
 
@@ -116,3 +118,48 @@ def test_bit_tracing_batch_ignores_events_after_halt(stream):
     # The stream halted; later batches must not change the profile.
     profiler.observe_batch(batch.slice(0, 5))
     assert profiler.report() == scalar
+
+
+def test_bit_tracing_never_fed_reports_nothing(stream):
+    program, _, batch = stream
+    profiler = BitTracingProfiler(program)
+    profiler.observe_batch(batch.slice(0, 0))
+    report = profiler.report()
+    # No phantom path at the entry block: an unfed stream has no paths.
+    assert report.num_units == 0
+    assert report.profiling_ops == 0
+    assert report.counter_space == 0
+
+
+def test_bit_tracing_mid_program_start_equals_oracle(stream):
+    """A stream that opens after its first cut starts at that cut's
+    target, not at the program entry."""
+    program, events, batch = stream
+    cuts = find_cuts(batch.dst, batch.kind, batch.backward, 256)
+    start = int(cuts[0]) + 1
+    assert batch.src[start] != program.entry_block.uid
+    scalar = event_oracle.BitTracing(program).run(events[start:])
+    tail = batch.slice(start, len(batch))
+    assert BitTracingProfiler(program).run(tail) == scalar
+    assert BitTracingProfiler(program).run(iter(_chunks(tail, 97))) == scalar
+
+
+def test_bit_tracing_report_is_idempotent(stream):
+    program, events, batch = stream
+    half = len(batch) // 2
+    scalar = event_oracle.BitTracing(program).run(events[:half])
+    profiler = BitTracingProfiler(program)
+    profiler.observe_batch(batch.slice(0, half))
+    # The stream stopped mid-path: the first report flushes that path,
+    # the second must not flush it again.
+    assert profiler.report() == scalar
+    assert profiler.report() == scalar
+
+
+def test_bit_tracing_rejects_discontinuous_stream(stream):
+    program, _, batch = stream
+    profiler = BitTracingProfiler(program)
+    profiler.observe_batch(batch.slice(0, 100))
+    gap = 101 + int(np.flatnonzero(batch.src[101:] != batch.dst[99])[0])
+    with pytest.raises(TraceError):
+        profiler.observe_batch(batch.slice(gap, gap + 10))

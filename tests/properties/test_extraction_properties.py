@@ -3,9 +3,10 @@
 For arbitrary generated programs and random decision streams, the
 extractor must (a) partition every executed block into exactly one path,
 (b) start every non-initial path where the previous one handed off, and
-(c) produce signatures that agree with the bit-tracing profiler, and
-(d) cut any chunking of the stream exactly as the per-event oracle in
-:mod:`tests.trace.event_oracle` does.
+(c) cut any chunking of the stream exactly as the per-event oracle in
+:mod:`tests.trace.event_oracle` does; and the bit-tracing profiler must
+(d) count, for any chunking, exactly the signatures the oracle's
+per-branch shift register builds.
 """
 
 import numpy as np
@@ -89,19 +90,24 @@ def test_consecutive_paths_chain(program_seed, oracle_seed, trips):
     program_seed=st.integers(0, 200),
     oracle_seed=st.integers(0, 1000),
     trips=st.integers(0, 8),
+    chunk=st.integers(1, 200),
 )
 @_settings
-def test_bit_tracing_equals_extractor_frequencies(
-    program_seed, oracle_seed, trips
+def test_bit_tracing_equals_register_oracle(
+    program_seed, oracle_seed, trips, chunk
 ):
-    program, events = _bounded_events(program_seed, oracle_seed, trips)
-    occurrences, table = _extract(program, events)
-    frequencies = {}
-    for path_id in occurrences:
-        signature = table.path(path_id).signature
-        frequencies[signature] = frequencies.get(signature, 0) + 1
-    report = BitTracingProfiler(program).run(events)
-    assert report.frequencies == frequencies
+    """Any chunking of the stream profiles exactly what a signature
+    register shifted per branch counts: same signatures, same counter
+    space, same shift and update operations."""
+    program, batch = _bounded_events(program_seed, oracle_seed, trips)
+    scalar = event_oracle.BitTracing(program).run(
+        event_oracle.from_batch(batch)
+    )
+    chunks = [
+        batch.slice(start, start + chunk)
+        for start in range(0, len(batch), chunk)
+    ]
+    assert BitTracingProfiler(program).run(iter(chunks)) == scalar
 
 
 @given(

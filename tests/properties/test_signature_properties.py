@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.profiling import CounterTable
-from repro.trace.path import PathSignature, SignatureRegister
+from repro.trace.path import PathSignature
+from tests.trace.event_oracle import SignatureRegister
 
 _settings = settings(max_examples=100, deadline=None)
 

@@ -10,7 +10,8 @@ code is checked against:
 * the scalar producers, :func:`walk` (CFG walker) and
   :func:`run_machine` (ISA machine), which emit the events one at a time;
 * the scalar §3 segmenter, :func:`extract` / :func:`record`, which keeps
-  a signature register and a block list per open path;
+  a :class:`SignatureRegister` (the paper's run-time shift register) and
+  a block list per open path;
 * the six §4 profilers' per-event ``observe`` loops and
   :func:`compare_schemes` over them;
 * the per-event replay of the §7 hardware models,
@@ -39,7 +40,7 @@ from repro.profiling.counters import CounterTable
 from repro.profiling.overhead import OverheadRow
 from repro.trace.batch import CODE_KIND, EventBatch
 from repro.trace.events import HALT_DST
-from repro.trace.path import Path, PathSignature, PathTable, SignatureRegister
+from repro.trace.path import Path, PathSignature, PathTable
 from repro.trace.recorder import PathTrace
 
 
@@ -293,6 +294,46 @@ def run_to_completion(
 # ----------------------------------------------------------------------
 # §3 segmentation
 # ----------------------------------------------------------------------
+class SignatureRegister:
+    """The run-time shift register that builds signatures incrementally.
+
+    Mirrors the paper's description of bit tracing: "path signatures are
+    constructed as the program executes by shifting a 1 or 0 value into
+    the current signature register".
+    """
+
+    def __init__(self, start_address: int):
+        self._start_address = start_address
+        self._history = 0
+        self._bit_count = 0
+        self._indirect: list[int] = []
+
+    def shift(self, bit: int) -> None:
+        """Shift one conditional-branch outcome into the register."""
+        if bit not in (0, 1):
+            raise TraceError(f"history bit must be 0 or 1, got {bit!r}")
+        self._history = (self._history << 1) | bit
+        self._bit_count += 1
+
+    def record_indirect(self, target_address: int) -> None:
+        """Append an indirect-branch target to the signature."""
+        self._indirect.append(target_address)
+
+    @property
+    def bit_count(self) -> int:
+        """Number of bits shifted so far."""
+        return self._bit_count
+
+    def snapshot(self) -> PathSignature:
+        """Freeze the register into an immutable signature."""
+        return PathSignature(
+            start_address=self._start_address,
+            history=self._history,
+            bit_count=self._bit_count,
+            indirect_targets=tuple(self._indirect),
+        )
+
+
 def _make_path(
     program: Program,
     blocks: list[int],

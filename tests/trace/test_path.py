@@ -20,9 +20,9 @@ from repro.trace.path import (
     PathColumns,
     PathSignature,
     PathTable,
-    SignatureRegister,
 )
 from repro.trace.recorder import PathTrace
+from tests.trace.event_oracle import SignatureRegister
 
 
 def test_signature_from_bits_round_trip():
